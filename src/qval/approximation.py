@@ -27,6 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import DomainError, PropertyViolation
+from .primes import int_valuation
 from .quadratic import QuadElem, as_quad
 from .quasi import min_extension
 from .valuations import require_prime, v_p
@@ -121,7 +122,7 @@ def rational_approx(targets) -> Fraction:
     residues: list[int] = []
     moduli: list[int] = []
     for p, x, a in targets:
-        lifted = a + _int_val(p, den)
+        lifted = a + int_valuation(p, den)
         if lifted <= 0:
             continue
         scaled = x * den  # integral: den clears every target denominator
@@ -130,14 +131,6 @@ def rational_approx(targets) -> Fraction:
     if not moduli:
         return Fraction(0)
     return Fraction(crt(residues, moduli), den)
-
-
-def _int_val(p: int, n: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def intersection_basis(d: int, qvs) -> tuple[QuadElem, QuadElem]:
@@ -219,30 +212,33 @@ def weak_approx(d: int, targets, qvs=None) -> ApproxSolution:
 
 
 def _parse_fraction(text) -> Fraction:
-    if isinstance(text, str):
-        return Fraction(text)
-    if isinstance(text, int):
-        return Fraction(text)
+    if isinstance(text, (str, int)):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise DomainError(f"expected a rational as 'num/den' string, got {text!r}")
+
+
+def _field(obj, key: str, kind: type = object):
+    """obj[key] from a problem file object, checked against kind."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DomainError(f"problem file needs an object with key {key!r}, got {obj!r:.60}")
+    if not isinstance(obj[key], kind):
+        raise DomainError(f"problem file key {key!r} has the wrong type: {obj[key]!r:.60}")
+    return obj[key]
 
 
 def load_problem(source) -> tuple[int, list[ApproxTarget]]:
     """Read a problem instance from a JSON file path or a parsed dict."""
     if not isinstance(source, dict):
         source = json.loads(Path(source).read_text())
-    try:
-        d = source["d"]
-        raw_targets = source["targets"]
-    except KeyError as missing:
-        raise DomainError(f"problem file lacks required key {missing}") from None
+    d = _field(source, "d", int)
     targets = []
-    for entry in raw_targets:
-        x = QuadElem(
-            _parse_fraction(entry["x"]["a"]),
-            _parse_fraction(entry["x"]["b"]),
-            d,
-        )
-        targets.append(ApproxTarget(entry["p"], x, _parse_fraction(entry["m"])))
+    for entry in _field(source, "targets", list):
+        x = _field(entry, "x")
+        x = QuadElem(_parse_fraction(_field(x, "a")), _parse_fraction(_field(x, "b")), d)
+        targets.append(ApproxTarget(_field(entry, "p"), x, _parse_fraction(_field(entry, "m"))))
     return d, targets
 
 

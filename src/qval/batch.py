@@ -1,57 +1,39 @@
-"""Fixed-width batch evaluation behind the axiom harness.
+"""The all-pairs axiom check on integer arrays.
 
 The all-pairs axiom check over 500 samples makes ~10^5 field operations
 and twice as many valuations per constructor; doing that through Fraction
 objects is an order of magnitude too slow for the harness's time budget.
-This module evaluates quasi-valuations on int64 arrays instead.
+Here the samples become arrays of integer triples x = (A + B·√d)/Q, the
+pairwise sums and products are formed by broadcasting, and the
+constructor's own ``triple_value`` evaluates each array in one call.
 
-The arithmetic stays exact: elements are carried as unreduced integer
-triples x = (A + B·√d)/Q, valuations only ever divide out exact prime
-powers, and every run is preceded by a worst-case magnitude check with
-unbounded Python ints — if int64 could overflow anywhere, the caller falls
-back to the exact object path.  Values are returned as integers scaled by
-the constructor's value denominator, with a large sentinel for ∞.
-
-Split-case evaluations use the base Hensel precision; the few entries
-whose stability certificate does not fire at that precision are patched
-by the exact object path.
+The arithmetic stays exact.  A worst-case magnitude check with unbounded
+Python ints, which takes the constructor's ``magnitude_bound`` into
+account, picks int64 arrays when nothing can overflow and dtype=object
+arrays of Python ints otherwise.  Values come back as integers scaled by
+the constructor's value denominator, with the sentinel INF for ∞.
 """
-
-import math
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import PropertyViolation
-from .primes import factorize
-from .quadratic import QuadElem
-from .valuations import (
-    HENSEL_START_PRECISION,
-    ExtendedValuation,
-    PAdicValuation,
-    SplitKind,
-    split_root_with_agreement,
-)
-from .values import Value
+from .errors import DomainError
+from .triples import INF, QuasiValuation, field_triple
 
-INF = np.int64(1) << np.int64(40)
-_INF_THRESHOLD = int(INF) // 2
 _INT64_LIMIT = 1 << 62
 
 
 def pairwise_axiom_check(w, samples):
-    """All-pairs axiom check on int64 arrays.
+    """All-pairs axiom check on integer arrays.
 
     Returns (checks_performed, violations) where violations are
-    (kind, i, j) index triples into ``samples``, or None when this engine
-    cannot handle the constructor or the magnitudes safely.
+    (kind, i, j) index triples into ``samples``.
     """
-    from . import quasi  # deferred; quasi imports this module lazily
-
-    if not samples or not _supported(w, quasi):
-        return None
-
-    triples = [_triple(x) for x in samples]
+    if not isinstance(w, QuasiValuation):
+        raise DomainError(f"{w!r} does not implement the QuasiValuation protocol")
+    triples = [field_triple(x, w.d) for x in samples]
+    n = len(triples)
+    if not n:
+        return 0, []
     max_a = max(abs(t[0]) for t in triples)
     max_b = max(abs(t[1]) for t in triples)
     max_q = max(t[2] for t in triples)
@@ -61,202 +43,55 @@ def pairwise_axiom_check(w, samples):
     sum_bound = (2 * max_a * max_q, 2 * max_b * max_q, max_q * max_q)
     prod_bound = (max_a * max_a + max_b * max_b * d, 2 * max_a * max_b, max_q * max_q)
     worst = tuple(map(max, sum_bound, prod_bound, (max_a, max_b, max_q)))
-    if not _magnitude_ok(w, worst, quasi):
-        return None
-
-    a = np.array([t[0] for t in triples], dtype=np.int64)
-    b = np.array([t[1] for t in triples], dtype=np.int64)
-    q = np.array([t[2] for t in triples], dtype=np.int64)
-
-    n = len(samples)
-    values = _evaluate(w, a, b, q, lambda i: samples[i], quasi)
-
-    violations: list[tuple[str, int, int]] = []
-    checked = 0
-
-    neg = _evaluate(w, -a, -b, q, lambda i: -samples[i], quasi)
-    checked += n
-    for i in np.nonzero(neg != values)[0]:
-        violations.append(("negation", int(i), int(i)))
+    fits = max(*worst, w.magnitude_bound(*worst)) < _INT64_LIMIT
+    a, b, q = (np.array(column, dtype=np.int64 if fits else object) for column in zip(*triples))
 
     # pairwise sum and product triples via broadcasting (full matrices;
     # only the upper triangle is reported)
     a_col, b_col, q_col = a[:, None], b[:, None], q[:, None]
-    sum_a = (a_col * q + q_col * a).ravel()
     sum_b = (b_col * q + q_col * b).ravel()
     pair_q = (q_col * q).ravel()
+    sums = ((a_col * q + q_col * a).ravel(), sum_b, pair_q)
     if w.d is None:
-        prod_a = (a_col * a).ravel()
-        prod_b = sum_b  # all zeros
+        products = ((a_col * a).ravel(), sum_b, pair_q)  # sum_b is all zeros
     else:
-        prod_a = (a_col * a + (b_col * b) * w.d).ravel()
-        prod_b = (a_col * b + b_col * a).ravel()
+        products = ((a_col * a + (b_col * b) * w.d).ravel(), (a_col * b + b_col * a).ravel(),
+                    pair_q)
 
-    def sum_elem(flat):
-        return samples[flat // n] + samples[flat % n]
+    values = w.triple_value(a, b, q)
+    negated = w.triple_value(-a, -b, q)
+    w_sum = w.triple_value(*sums).reshape(n, n)
+    w_prod = w.triple_value(*products).reshape(n, n)
 
-    def prod_elem(flat):
-        return samples[flat // n] * samples[flat % n]
+    violations: list[tuple[str, int, int]] = []
+    checked = n
+    for i in np.nonzero(negated != values)[0]:
+        violations.append(("negation", int(i), int(i)))
 
-    w_sum = _evaluate(w, sum_a, sum_b, pair_q, sum_elem, quasi).reshape(n, n)
-    w_prod = _evaluate(w, prod_a, prod_b, pair_q, prod_elem, quasi).reshape(n, n)
-
-    vx = values[:, None]
-    vy = values[None, :]
-    added = np.where((vx >= _INF_THRESHOLD) | (vy >= _INF_THRESHOLD), INF, vx + vy)
-    floor = np.minimum(vx, vy)
+    # ∞ enters every ordering through these masks, never as a number, so
+    # finite values of any size compare exactly
+    infinite = values == INF
+    ix, iy = infinite[:, None], infinite[None, :]
+    vx, vy = values[:, None], values[None, :]
+    floor = np.where(ix, vy, np.where(iy, vx, np.minimum(vx, vy)))
 
     upper = np.triu(np.ones((n, n), dtype=bool))
     n_pairs = n * (n + 1) // 2
 
-    bad = (w_prod < added) & upper
+    bad = (w_prod != INF) & (ix | iy | (w_prod < vx + vy)) & upper
     checked += n_pairs
     for i, j in np.argwhere(bad):
         violations.append(("superadditive", int(i), int(j)))
 
-    bad = (w_sum < floor) & upper
+    bad = (w_sum != INF) & ((ix & iy) | (w_sum < floor)) & upper
     checked += n_pairs
     for i, j in np.argwhere(bad):
         violations.append(("ultrametric", int(i), int(j)))
 
-    differing = (vx != vy) & upper
+    differing = ((ix != iy) | (vx != vy)) & upper
     checked += int(differing.sum())
     bad = differing & (w_sum != floor)
     for i, j in np.argwhere(bad):
         violations.append(("equality-case", int(i), int(j)))
 
     return checked, violations
-
-
-def _triple(x) -> tuple[int, int, int]:
-    """x as integers (A, B, Q) with x = (A + B·√d)/Q, Q ≥ 1, unreduced is fine."""
-    if isinstance(x, QuadElem):
-        q = math.lcm(x.a.denominator, x.b.denominator)
-        return (
-            x.a.numerator * (q // x.a.denominator),
-            x.b.numerator * (q // x.b.denominator),
-            q,
-        )
-    x = Fraction(x)
-    return (x.numerator, 0, x.denominator)
-
-
-def _supported(w, quasi) -> bool:
-    if isinstance(w, (PAdicValuation, ExtendedValuation, quasi.NAdic)):
-        return True
-    if isinstance(w, quasi.MinOf):
-        return all(_supported(m, quasi) for m in w.members)
-    if isinstance(w, quasi.Scaled):
-        return _supported(w.inner, quasi)
-    return False
-
-
-def _magnitude_ok(w, worst: tuple[int, int, int], quasi) -> bool:
-    max_a, max_b, max_q = worst
-    if max(max_a, max_b, max_q) >= _INT64_LIMIT:
-        return False
-    # value magnitudes: at most 63 halvings of an int64, times the scale
-    if 63 * w.value_denominator * 4 >= _INF_THRESHOLD:
-        return False
-    if isinstance(w, ExtendedValuation):
-        if w.kind is SplitKind.SPLIT:
-            root_bound = w.p ** (HENSEL_START_PRECISION + 1)
-            return max_a + max_b * root_bound < _INT64_LIMIT
-        return max_a * max_a + max_b * max_b * abs(w.d) < _INT64_LIMIT
-    if isinstance(w, quasi.MinOf):
-        return all(_magnitude_ok(m, worst, quasi) for m in w.members)
-    if isinstance(w, quasi.Scaled):
-        return w.factor.numerator < (1 << 20) and _magnitude_ok(w.inner, worst, quasi)
-    return True
-
-
-def _int_valuation_array(x: np.ndarray, p: int) -> np.ndarray:
-    """Multiplicity of p in each entry; 0 maps to the ∞ sentinel."""
-    v = np.zeros(x.shape, dtype=np.int64)
-    zero = x == 0
-    cur = x.copy()
-    cur[zero] = 1
-    active = cur % p == 0
-    while active.any():
-        cur = np.where(active, cur // p, cur)
-        v += active
-        active = active & (cur % p == 0)
-    v[zero] = INF
-    return v
-
-
-def _clamp_inf(values: np.ndarray, inf_mask: np.ndarray) -> np.ndarray:
-    return np.where(inf_mask, INF, values)
-
-
-def _evaluate(w, a, b, q, element_at, quasi) -> np.ndarray:
-    """w on triple arrays, as int64 values scaled by w.value_denominator."""
-    if isinstance(w, PAdicValuation):
-        va = _int_valuation_array(a, w.p)
-        return _clamp_inf(va - _int_valuation_array(q, w.p), va >= _INF_THRESHOLD)
-    if isinstance(w, quasi.NAdic):
-        parts = [
-            (_int_valuation_array(a, p) - _int_valuation_array(q, p)) // c
-            for p, c in factorize(w.n)
-        ]
-        out = parts[0]
-        for part in parts[1:]:
-            out = np.minimum(out, part)
-        return _clamp_inf(out, a == 0)
-    if isinstance(w, ExtendedValuation):
-        return _evaluate_extension(w, a, b, q, element_at)
-    if isinstance(w, quasi.MinOf):
-        scale = w.value_denominator
-        out = None
-        for m in w.members:
-            part = _evaluate(m, a, b, q, element_at, quasi)
-            mult = scale // m.value_denominator
-            if mult != 1:
-                part = _clamp_inf(part * mult, part >= _INF_THRESHOLD)
-            out = part if out is None else np.minimum(out, part)
-        return out
-    if isinstance(w, quasi.Scaled):
-        inner = _evaluate(w.inner, a, b, q, element_at, quasi)
-        mult = w.factor.numerator * (
-            w.value_denominator // (w.factor.denominator * w.inner.value_denominator)
-        )
-        return _clamp_inf(inner * mult, inner >= _INF_THRESHOLD)
-    raise PropertyViolation(f"unsupported constructor reached the batch engine: {w!r}")
-
-
-def _evaluate_extension(w: ExtendedValuation, a, b, q, element_at) -> np.ndarray:
-    vq = _int_valuation_array(q, w.p)
-    if w.kind is not SplitKind.SPLIT:
-        norm = a * a - (b * b) * w.d
-        vnorm = _int_valuation_array(norm, w.p)
-        scaled = vnorm - 2 * vq  # value × 2
-        scaled = _clamp_inf(scaled, vnorm >= _INF_THRESHOLD)
-        if w.kind is SplitKind.RAMIFIED:
-            return scaled
-        finite = scaled < _INF_THRESHOLD
-        if (scaled[finite] % 2 != 0).any():
-            raise PropertyViolation(f"odd norm valuation under inert {w}")
-        return _clamp_inf(scaled // 2, ~finite)
-
-    k = HENSEL_START_PRECISION
-    root = split_root_with_agreement(w.p, w.d, k, w.branch)
-    t = a + b * root
-    vt = _int_valuation_array(t, w.p)
-    vb = _int_valuation_array(b, w.p)
-    out = _clamp_inf(vt - vq, vt >= _INF_THRESHOLD)
-    # stability certificate: exact iff v(A + B·root) < k + v(B)
-    certified = (b == 0) | (vt < np.minimum(vb + k, INF))
-    zero = (a == 0) & (b == 0)
-    needs_patch = np.nonzero(~certified & ~zero)[0]
-    for flat in needs_patch:
-        out[flat] = _to_scaled(w.value(element_at(int(flat))), w.value_denominator)
-    return out
-
-
-def _to_scaled(value: Value, scale: int) -> np.int64:
-    if value.is_infinite:
-        return INF
-    scaled = value.finite_part * scale
-    if scaled.denominator != 1:
-        raise PropertyViolation(f"value {value} not expressible at scale {scale}")
-    return np.int64(scaled)

@@ -194,7 +194,7 @@ def main(argv=None) -> int:
         if cap is not None:
             set_precision_cap(cap)
         return args.handler(args)
-    except (ParseError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParseError, DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PrecisionExceededError as exc:

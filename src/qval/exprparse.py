@@ -10,7 +10,10 @@ Grammar (usual precedence, unary minus binding tightest):
 Everything evaluates exactly to a Fraction, or to a QuadElem once a sqrt
 appears; "3/4" is just integer division and lands on Fraction(3, 4).  All
 sqrt arguments inside one expression must agree (one quadratic field at a
-time), and each must be a squarefree integer other than 0 and 1.
+time), and each must be a squarefree integer other than 0 and 1.  Integer
+literals have at most MAX_DIGITS digits, and parentheses and sqrt nest at
+most MAX_NESTING deep, so hostile input fails with a ParseError instead of
+Python's int-string limit or its recursion limit.
 """
 
 import re
@@ -21,6 +24,9 @@ from .quadratic import QuadElem
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(sqrt)|([+\-*/()])|(\S))")
 
+MAX_DIGITS = 4000  # below Python's default int-string limit of 4300
+MAX_NESTING = 100  # a few interpreter frames per level, far below the recursion limit
+
 
 class _Tokenizer:
     def __init__(self, text: str):
@@ -28,6 +34,8 @@ class _Tokenizer:
         for match in _TOKEN.finditer(text):
             pos = match.start(match.lastindex)
             if match.group(1):
+                if len(match.group(1)) > MAX_DIGITS:
+                    raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", pos)
                 self.tokens.append(("int", match.group(1), pos))
             elif match.group(2):
                 self.tokens.append(("sqrt", "sqrt", pos))
@@ -60,6 +68,7 @@ class _Evaluator:
     def __init__(self, text: str):
         self.tokens = _Tokenizer(text)
         self.d: int | None = None
+        self.depth = 0
 
     def run(self):
         value = self.expr()
@@ -85,10 +94,12 @@ class _Evaluator:
         return value
 
     def unary(self):
-        if self.tokens.peek()[1] == "-":
+        negate = False
+        while self.tokens.peek()[1] == "-":
             self.tokens.next()
-            return -self.unary()
-        return self.atom()
+            negate = not negate
+        value = self.atom()
+        return -value if negate else value
 
     def atom(self):
         kind, text, pos = self.tokens.next()
@@ -96,15 +107,22 @@ class _Evaluator:
             return Fraction(int(text))
         if kind == "sqrt":
             self.tokens.expect("(")
-            inner = self.expr()
-            self.tokens.expect(")")
+            inner = self.nested(pos)
             return self.make_root(inner, pos)
         if text == "(":
-            value = self.expr()
-            self.tokens.expect(")")
-            return value
+            return self.nested(pos)
         shown = text if kind != "end" else "end of input"
         raise ParseError(f"expected a value, found {shown}", pos)
+
+    def nested(self, pos: int):
+        """The expression after an opening parenthesis, and the closing one."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
+        self.depth += 1
+        value = self.expr()
+        self.tokens.expect(")")
+        self.depth -= 1
+        return value
 
     def make_root(self, inner, pos: int):
         if isinstance(inner, QuadElem) or inner.denominator != 1:

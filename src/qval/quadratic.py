@@ -202,6 +202,15 @@ def as_quad(x, d: int) -> QuadElem:
     return QuadElem.from_rational(Fraction(x), d)
 
 
+def as_rational(x) -> Fraction:
+    """Coerce a rational or a rational QuadElem into Q."""
+    if isinstance(x, QuadElem):
+        if not x.is_rational:
+            raise DomainError(f"{x} is not rational")
+        return x.a
+    return Fraction(x)
+
+
 def sqrt_exact(n: int) -> int | None:
     """Integer square root of n if n is a perfect square, else None."""
     if n < 0:

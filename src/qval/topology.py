@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PropertyViolation
-from .quasi import QVRing, coerce_to_field, field_zero
+from .quasi import QVRing, coerce_to_field
 from .report import PropertyReport
 from .valuations import v_p
 from .values import Value
@@ -253,7 +253,3 @@ def ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6),
                         f"w1-ball: {ball1.contains(y)}, w2-ball: {ball2.contains(y)}",
                     )
     return report
-
-
-def zero_of(w):
-    return field_zero(w)

@@ -1,0 +1,101 @@
+"""Integer triples: the one evaluation interface every constructor shares.
+
+An element of Q or Q(√d) is carried as integers x = (A + B·√d)/Q with
+Q ≥ 1, unreduced.  Each constructor evaluates triples in one method,
+``triple_value(a, b, q)``, which returns w(x)·value_denominator as an
+integer, with the sentinel ``INF`` where w(x) = ∞.  The same code runs on
+Python ints (one element, exact at any size) and on numpy integer arrays
+(int64, or dtype=object holding Python ints); the few operations whose
+form differs between the two live in this module.  ``value(x)`` is a thin
+wrapper that builds one ``Value`` at the edge.
+
+Where a result may be ∞ it is set by a mask computed from the inputs
+(x = 0, or a factor that vanishes), never by comparing a computed value
+against the sentinel, so finite values of any size stay exact.
+"""
+
+from fractions import Fraction
+from math import lcm
+from typing import Protocol, runtime_checkable
+
+import numpy as np
+
+from .primes import int_valuation
+from .quadratic import as_quad, as_rational
+from .values import INFINITY, Value
+
+INF = 1 << 40
+
+
+@runtime_checkable
+class QuasiValuation(Protocol):
+    """The evaluation interface of every constructor, valuations included."""
+
+    d: int | None  # None for Q, else the field is Q(√d)
+    value_denominator: int  # every value times this is an integer
+
+    def value(self, x) -> Value:
+        """w(x) for one field element."""
+
+    def triple_value(self, a, b, q):
+        """w((a + b·√d)/q)·value_denominator on ints or same-shape arrays, INF for ∞."""
+
+    def magnitude_bound(self, a: int, b: int, q: int) -> int:
+        """A bound on every integer triple_value forms, the sentinel and its
+        multiples included, for inputs with |A| ≤ a, |B| ≤ b, Q ≤ q."""
+
+
+def field_triple(x, d: int | None) -> tuple[int, int, int]:
+    """x as an integer triple over Q (d is None) or over Q(√d)."""
+    if d is None:
+        x = as_rational(x)
+        return x.numerator, 0, x.denominator
+    x = as_quad(x, d)
+    q = lcm(x.a.denominator, x.b.denominator)
+    return x.a.numerator * (q // x.a.denominator), x.b.numerator * (q // x.b.denominator), q
+
+
+def value_at(w, x, **options) -> Value:
+    """w(x) as a Value: x = 0 is ∞, anything else goes through triple_value."""
+    a, b, q = field_triple(x, w.d)
+    if a == 0 and b == 0:
+        return INFINITY
+    return Value(Fraction(w.triple_value(a, b, q, **options), w.value_denominator))
+
+
+def multiplicity(x, p: int):
+    """Multiplicity of the prime p in x, entrywise for arrays; 0 maps to INF."""
+    if not isinstance(x, np.ndarray):
+        return int_valuation(p, x) if x else INF
+    v = np.zeros(x.shape, dtype=x.dtype)
+    zero = x == 0
+    cur = np.where(zero, 1, x)
+    active = cur % p == 0
+    while active.any():
+        cur = np.where(active, cur // p, cur)
+        v += active
+        active &= cur % p == 0
+    v[zero] = INF
+    return v
+
+
+def minimum(x, y):
+    return np.minimum(x, y) if isinstance(x, np.ndarray) else min(x, y)
+
+
+def clamp_inf(values, mask):
+    """values with INF wherever mask holds."""
+    if isinstance(values, np.ndarray):
+        return np.where(mask, INF, values)
+    return INF if mask else values
+
+
+def refine(values, certified, deeper, *coords):
+    """values with each uncertified entry replaced by deeper(*coords) at
+    that entry; arrays pass deeper only those entries, as Python ints."""
+    if not isinstance(values, np.ndarray):
+        return values if certified else deeper(*coords)
+    todo = np.flatnonzero(~certified)
+    if todo.size:
+        values[todo] = deeper(*(c[todo].astype(object) for c in coords))
+    return values

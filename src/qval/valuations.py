@@ -18,13 +18,13 @@ Every extension restricts on Q to v_p itself; no rescaling is applied.
 
 import enum
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, PrecisionExceededError
-from .primes import int_valuation, is_prime, require_prime, sqrt_mod_prime
-from .quadratic import QuadElem, validate_discriminant
-from .values import INFINITY, Value
+from .primes import is_prime, require_prime, sqrt_mod_prime
+from .quadratic import validate_discriminant
+from .triples import INF, clamp_inf, field_triple, multiplicity, refine, value_at
+from .values import Value
 
 # Hensel precision schedule: start here, double on a failed certificate,
 # give up at the cap (configurable; QVAL_PRECISION_CAP / --precision-cap).
@@ -47,15 +47,7 @@ def get_precision_cap() -> int:
 
 def v_p(p: int, x) -> Value:
     """The p-adic valuation of a rational (or rational QuadElem)."""
-    require_prime(p)
-    if isinstance(x, QuadElem):
-        if not x.is_rational:
-            raise DomainError(f"{x} is not rational; v_{p} is defined on Q")
-        x = x.a
-    x = Fraction(x)
-    if x == 0:
-        return INFINITY
-    return Value(int_valuation(p, x.numerator) - int_valuation(p, x.denominator))
+    return PAdicValuation(p).value(x)
 
 
 class SplitKind(enum.Enum):
@@ -174,7 +166,13 @@ class PAdicValuation:
         return 1
 
     def value(self, x) -> Value:
-        return v_p(self.p, x)
+        return value_at(self, x)
+
+    def triple_value(self, a, b, q):
+        return clamp_inf(multiplicity(a, self.p) - multiplicity(q, self.p), a == 0)
+
+    def magnitude_bound(self, a: int, b: int, q: int) -> int:
+        return INF
 
     def __str__(self) -> str:
         return f"vp:{self.p}"
@@ -229,57 +227,54 @@ class ExtendedValuation:
         return ExtendedValuation(self.p, self.d, self.kind, 3 - self.branch)
 
     def value(self, x, precision_cap: int | None = None) -> Value:
-        x = self._coerce(x)
-        if not x:
-            return INFINITY
+        return value_at(self, x, precision_cap=precision_cap)
+
+    def triple_value(self, a, b, q, precision_cap: int | None = None):
         if self.kind is SplitKind.SPLIT:
-            return self._split_value(x, precision_cap)
+            cap = _precision_cap if precision_cap is None else precision_cap
+            return self._certified_split_value(a, b, q, HENSEL_START_PRECISION, cap)
         # inert and ramified: v_p of the norm, halved.  Exactness: the norm
-        # is multiplicative and nonzero off 0, and for inert primes the
-        # result is always an integer.
-        return v_p(self.p, x.norm()).scaled(Fraction(1, 2))
+        # is multiplicative and nonzero off 0, and for inert primes its
+        # valuation is always even.
+        v_norm = multiplicity(a * a - b * b * self.d, self.p) - 2 * multiplicity(q, self.p)
+        scaled = v_norm if self.kind is SplitKind.RAMIFIED else v_norm // 2
+        return clamp_inf(scaled, (a == 0) & (b == 0))
 
-    def _coerce(self, x) -> QuadElem:
-        if isinstance(x, QuadElem):
-            if x.d != self.d:
-                if x.is_rational:
-                    return QuadElem.from_rational(x.a, self.d)
-                raise DomainError(
-                    f"element of Q(sqrt({x.d})) given to an extension on Q(sqrt({self.d}))"
-                )
-            return x
-        return QuadElem.from_rational(Fraction(x), self.d)
+    def magnitude_bound(self, a: int, b: int, q: int) -> int:
+        if self.kind is SplitKind.SPLIT:
+            # deeper precisions run on Python ints; see _certified_split_value
+            return max(a + b * self.p ** (HENSEL_START_PRECISION + 1), INF)
+        return max(a * a + b * b * abs(self.d), INF)
 
-    def _split_value(self, x: QuadElem, precision_cap: int | None) -> Value:
-        if x.b == 0:
-            return v_p(self.p, x.a)
-        cap = precision_cap if precision_cap is not None else _precision_cap
-        k = HENSEL_START_PRECISION
-        while True:
-            value, certified = self.split_value_at_precision(x, k)
-            if certified:
-                return value
+    def _certified_split_value(self, a, b, q, k: int, cap: int):
+        """The split value from precision k on, doubling it (up to cap) for
+        the entries whose certificate does not fire."""
+        value, certified = self.split_value_at_precision((a, b, q), k)
+
+        def deeper(a, b, q):
             if k >= cap:
                 raise PrecisionExceededError(
-                    f"valuation of {x} at p={self.p} not certified within precision {cap}",
-                    cap,
+                    f"a valuation under {self} was not certified within precision {cap}", cap
                 )
-            k = min(2 * k, cap)
+            return self._certified_split_value(a, b, q, min(2 * k, cap), cap)
 
-    def split_value_at_precision(self, x: QuadElem, k: int) -> tuple[Value | None, bool]:
+        return refine(value, certified, deeper, a, b, q)
+
+    def split_value_at_precision(self, x, k: int):
         """Evaluate at fixed Hensel precision k, with the stability certificate.
 
-        Returns (value, certified).  The approximation error of the root is
-        divisible by p^k, so the computed valuation of a + b·s is exact as
-        soon as it falls below v_p(b) + k.
+        x is a field element or an integer triple (A, B, Q) of ints or
+        arrays.  Returns (value, certified), the value as in
+        ``triple_value`` (INF where A + B·s vanishes).  The approximation
+        error of the root s is divisible by p^k, so the computed valuation
+        of A + B·s is exact as soon as it falls below v_p(B) + k.
         """
+        a, b, q = x if isinstance(x, tuple) else field_triple(x, self.d)
         s = split_root_with_agreement(self.p, self.d, k, self.branch)
-        t = x.a + x.b * s
-        vb = v_p(self.p, x.b)
-        if t == 0:
-            return None, False
-        vt = v_p(self.p, t)
-        return vt, bool(vt < vb + Value(k))
+        t = a + b * s
+        vt = multiplicity(t, self.p)
+        certified = (b == 0) | (vt < multiplicity(b, self.p) + k)
+        return clamp_inf(vt - multiplicity(q, self.p), t == 0), certified
 
     def __str__(self) -> str:
         if self.kind is SplitKind.SPLIT:

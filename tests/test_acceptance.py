@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qval.approximation import ApproxTarget, rational_approx, weak_approx
-from qval.batch import _int_valuation_array
+from qval.triples import multiplicity
 from qval.lemmas import run_lemma
 from qval.primes import factorize
 from qval.quadratic import QuadElem
@@ -96,7 +96,7 @@ def _coprime_values():
 
 def _vector_closed_form(n: int, c: np.ndarray, b: np.ndarray) -> np.ndarray:
     parts = [
-        (_int_valuation_array(c, p) - _int_valuation_array(b, p)) // e
+        (multiplicity(c, p) - multiplicity(b, p)) // e
         for p, e in factorize(n)
     ]
     out = parts[0]

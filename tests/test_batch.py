@@ -1,13 +1,13 @@
-"""The int64 batch engine must agree with the exact object path everywhere."""
+"""The all-pairs engine behind the axiom harness."""
 
-import random
 from fractions import Fraction
 
-import numpy as np
+import pytest
 
 import qval.batch as batch
+from qval.errors import DomainError
 from qval.quasi import MinOf, NAdic, Scaled, check_axioms, min_extension
-from qval.sampling import elements_for
+from qval.triples import field_triple
 from qval.valuations import PAdicValuation, extensions_of
 
 CONSTRUCTORS = [
@@ -27,46 +27,14 @@ CONSTRUCTORS = [
 ]
 
 
-def test_engine_values_match_object_path():
-    rng = random.Random(41)
-    for w in CONSTRUCTORS:
-        samples = elements_for(w, rng, 60)
-        triples = [batch._triple(x) for x in samples]
-        a = np.array([t[0] for t in triples], dtype=np.int64)
-        b = np.array([t[1] for t in triples], dtype=np.int64)
-        q = np.array([t[2] for t in triples], dtype=np.int64)
-        from qval import quasi
-
-        got = batch._evaluate(w, a, b, q, lambda i: samples[i], quasi)
-        scale = w.value_denominator
-        for i, x in enumerate(samples):
-            expected = w.value(x)
-            if expected.is_infinite:
-                assert got[i] == batch.INF
-            else:
-                assert got[i] == expected.finite_part * scale, (w, x)
-
-
-def test_reports_match_with_engine_disabled(monkeypatch):
-    rng = random.Random(43)
-    for w in CONSTRUCTORS[:8]:
-        samples = elements_for(w, rng, 30)
-        with_engine = check_axioms(w, samples, seed=1)
-
-        monkeypatch.setattr(batch, "pairwise_axiom_check", lambda *_: None)
-        object_path = check_axioms(w, samples, seed=1)
-        monkeypatch.undo()
-
-        assert with_engine.passed == object_path.passed
-        assert with_engine.instances == object_path.instances
-
-
 def test_engine_declines_oversized_inputs():
     w = PAdicValuation(2)
     huge = [Fraction(2**70 + 1, 3), Fraction(1), Fraction(7, 5)]
-    assert batch.pairwise_axiom_check(w, huge) is None
-    # the harness still answers through the object path
-    assert check_axioms(w, huge).passed
+    # past int64 the engine answers on Python-int arrays
+    checked, violations = batch.pairwise_axiom_check(w, huge)
+    assert violations == []
+    report = check_axioms(w, huge)
+    assert report.passed and report.instances == 1 + checked
 
 
 def test_engine_declines_unknown_constructors():
@@ -77,15 +45,21 @@ def test_engine_declines_unknown_constructors():
         def value(self, x):
             return PAdicValuation(2).value(x)
 
-    assert batch.pairwise_axiom_check(Opaque(), [Fraction(1)]) is None
+    with pytest.raises(DomainError):
+        batch.pairwise_axiom_check(Opaque(), [Fraction(1)])
 
 
 def test_triple_representation():
     x = Fraction(-3, 4)
-    assert batch._triple(x) == (-3, 0, 4)
+    assert field_triple(x, None) == (-3, 0, 4)
     from qval.quadratic import QuadElem
 
     y = QuadElem(Fraction(1, 2), Fraction(-2, 3), 2)
-    a, b, q = batch._triple(y)
+    a, b, q = field_triple(y, 2)
     assert Fraction(a, q) == Fraction(1, 2)
     assert Fraction(b, q) == Fraction(-2, 3)
+
+
+def test_values_beyond_the_sentinel_compare_exactly():
+    w = Scaled(PAdicValuation(2), 2**45)  # w(4) = 2^46, above the ∞ sentinel
+    assert check_axioms(w, [0, 1, 2, 3, 4, -4, Fraction(1, 8)]).passed

@@ -104,11 +104,28 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "eval", "--qv", "vp:2", "sqrt(2)+sqrt(3)")[0] == 2
     assert run(capsys, "eval", "--qv", "vp:2", "sqrt(2)")[0] == 2  # wrong field
     assert run(capsys, "approx", "--problem", "/nonexistent.json")[0] == 2
+    assert run(capsys, "approx", "--problem", "/")[0] == 2  # a directory
     assert run(capsys, "ball", "--qv", "vp:2", "--center", "0",
                "--bound", "x", "1")[0] == 2
+    assert run(capsys, "eval", "--qv", "vp:2", "1" * 5001)[0] == 2
+    assert run(capsys, "eval", "--qv", "vp:2", "(" * 3000 + "1" + ")" * 3000)[0] == 2
     with pytest.raises(SystemExit) as info:
         main(["lemma", "--id", "9.99"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("problem", [
+    {"d": 2, "targets": [{"p": 3, "x": {"a": "1/x", "b": "0"}, "m": "1"}]},
+    {"d": 2, "targets": [{"p": 3, "x": {"a": "1/0", "b": "0"}, "m": "1"}]},
+    {"d": 2, "targets": [{"p": 3, "x": {"a": "1"}, "m": "1"}]},
+    [{"d": 2, "targets": []}],
+], ids=["non-numeric", "zero-denominator", "missing-b", "top-level-list"])
+def test_malformed_problem_file_exits_two(capsys, tmp_path, problem):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code, out, err = run(capsys, "approx", "--problem", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_precision_cap_failure_exits_one(capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qval.errors import ParseError
-from qval.exprparse import format_element, parse_element
+from qval.exprparse import MAX_DIGITS, MAX_NESTING, format_element, parse_element
 from qval.quadratic import QuadElem
 
 
@@ -66,6 +66,19 @@ def test_errors_carry_positions():
         parse_element("1/(2-2)")
     with pytest.raises(ParseError, match="trailing"):
         parse_element("1 2")
+
+
+def test_size_limits():
+    assert parse_element("9" * MAX_DIGITS) == int("9" * MAX_DIGITS)
+    with pytest.raises(ParseError, match="digits"):
+        parse_element("1" * 5001)
+    nested = "(" * MAX_NESTING + "4" + ")" * MAX_NESTING
+    assert parse_element(nested) == 4
+    with pytest.raises(ParseError, match="nest"):
+        parse_element("(" + nested + ")")
+    with pytest.raises(ParseError, match="nest"):
+        parse_element("(" * 3000 + "1" + ")" * 3000)
+    assert parse_element("-" * 3001 + "2") == -2
 
 
 coeffs = st.fractions(min_value=-99, max_value=99, max_denominator=30)

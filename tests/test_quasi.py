@@ -129,6 +129,13 @@ class _SignFlipped:
             return Value(-v.finite_part)
         return v
 
+    def triple_value(self, a, b, q):
+        v = PAdicValuation(2).triple_value(a, b, q)
+        return v - 2 * v * (a == 4 * q)  # negated exactly at x = a/q = 4
+
+    def magnitude_bound(self, a, b, q):
+        return 2 * PAdicValuation(2).magnitude_bound(a, b, q)
+
     def __str__(self):
         return "corrupted-v2"
 
