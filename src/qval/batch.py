@@ -1,17 +1,22 @@
-"""The all-pairs axiom check on integer arrays.
+"""Quasi-valuations evaluated on integer arrays: the all-pairs axiom check
+and the ball gauges.
 
 The all-pairs axiom check over 500 samples makes ~10^5 field operations
 and twice as many valuations per constructor; doing that through Fraction
 objects is an order of magnitude too slow for the harness's time budget.
 Here the samples become arrays of integer triples x = (A + B·√d)/Q, the
 pairwise sums and products are formed by broadcasting, and the
-constructor's own ``triple_value`` evaluates each array in one call.
+constructor's own ``triple_value`` evaluates each array in one call.  The
+ball gauges w(y − c) that the topology checks compare against bounds are
+formed the same way: one difference triple per (center, point), all of
+them evaluated once, as an integer matrix.
 
 The arithmetic stays exact.  A worst-case magnitude check with unbounded
 Python ints, which takes the constructor's ``magnitude_bound`` into
 account, picks int64 arrays when nothing can overflow and dtype=object
 arrays of Python ints otherwise.  Values come back as integers scaled by
-the constructor's value denominator, with the sentinel INF for ∞.
+the constructor's value denominator, with the sentinel INF for ∞; callers
+take ∞ from masks of zero inputs, never from the sentinel.
 """
 
 import numpy as np
@@ -22,15 +27,45 @@ from .triples import INF, QuasiValuation, field_triple
 _INT64_LIMIT = 1 << 62
 
 
+def _triples(w, elements) -> list[tuple[int, int, int]]:
+    if not isinstance(w, QuasiValuation):
+        raise DomainError(f"{w!r} does not implement the QuasiValuation protocol")
+    return [field_triple(x, w.d) for x in elements]
+
+
+def _array_dtype(w, a: int, b: int, q: int):
+    """int64 when triples with |A| ≤ a, |B| ≤ b, Q ≤ q, and every integer
+    ``w.triple_value`` forms from them, stay below 2^62; else dtype=object."""
+    return np.int64 if max(a, b, q, w.magnitude_bound(a, b, q)) < _INT64_LIMIT else object
+
+
+def gauge_matrix(w, centers, points):
+    """The ball gauges w(y − c) for every center c and point y.
+
+    Returns (gauges, infinite), arrays of shape (len(centers), len(points)):
+    gauges[i, j] is w(points[j] − centers[i])·value_denominator and
+    infinite[i, j] marks points[j] = centers[i], where w = ∞ (the gauge
+    there is the sentinel and means nothing).
+    """
+    cs, ys = _triples(w, centers), _triples(w, points)
+    if not (cs and ys):
+        return np.zeros((len(cs), len(ys)), dtype=np.int64), np.zeros((len(cs), len(ys)), bool)
+    max_a, max_b, max_q = (max(abs(t[i]) for t in cs + ys) for i in range(3))
+    # (yA·cQ − cA·yQ, yB·cQ − cB·yQ, yQ·cQ) is the difference triple
+    dtype = _array_dtype(w, 2 * max_a * max_q, 2 * max_b * max_q, max_q * max_q)
+    ca, cb, cq = (np.array(column, dtype=dtype)[:, None] for column in zip(*cs))
+    ya, yb, yq = (np.array(column, dtype=dtype) for column in zip(*ys))
+    a, b = ya * cq - ca * yq, yb * cq - cb * yq
+    return w.triple_value(a, b, yq * cq), (a == 0) & (b == 0)
+
+
 def pairwise_axiom_check(w, samples):
     """All-pairs axiom check on integer arrays.
 
     Returns (checks_performed, violations) where violations are
     (kind, i, j) index triples into ``samples``.
     """
-    if not isinstance(w, QuasiValuation):
-        raise DomainError(f"{w!r} does not implement the QuasiValuation protocol")
-    triples = [field_triple(x, w.d) for x in samples]
+    triples = _triples(w, samples)
     n = len(triples)
     if not n:
         return 0, []
@@ -43,8 +78,8 @@ def pairwise_axiom_check(w, samples):
     sum_bound = (2 * max_a * max_q, 2 * max_b * max_q, max_q * max_q)
     prod_bound = (max_a * max_a + max_b * max_b * d, 2 * max_a * max_b, max_q * max_q)
     worst = tuple(map(max, sum_bound, prod_bound, (max_a, max_b, max_q)))
-    fits = max(*worst, w.magnitude_bound(*worst)) < _INT64_LIMIT
-    a, b, q = (np.array(column, dtype=np.int64 if fits else object) for column in zip(*triples))
+    dtype = _array_dtype(w, *worst)
+    a, b, q = (np.array(column, dtype=dtype) for column in zip(*triples))
 
     # pairwise sum and product triples via broadcasting (full matrices;
     # only the upper triangle is reported)

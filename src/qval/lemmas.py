@@ -73,14 +73,15 @@ def check_recentering(seed: int, instances: int = 20, samples: int = 100) -> Pro
         bounds = sorted((_random_bound(rng), _random_bound(rng)))
         first = Ball(w, y - shift_above(w, bounds[0], rng, strict=True), bounds[0])
         second = Ball(w, y - shift_above(w, bounds[1], rng, strict=True), bounds[1])
-        inner = recenter(first, second, y)
-        for z in ball_members(inner, rng, samples):
+        members = ball_members(recenter(first, second, y), rng, samples)
+        for z, in_first, in_second in zip(members, first.contains_all(members),
+                                          second.contains_all(members)):
             report.record()
-            if not (first.contains(z) and second.contains(z)):
+            if not (in_first and in_second):
                 report.fail(
                     {"w": w, "y": y, "z": z, "m1": bounds[0], "m2": bounds[1]},
                     "recentered ball lies inside both balls",
-                    f"in first: {first.contains(z)}, in second: {second.contains(z)}",
+                    f"in first: {in_first}, in second: {in_second}",
                 )
     return report
 
@@ -129,22 +130,16 @@ def check_hausdorff_witnesses(seed: int, instances: int = 20, samples: int = 100
                 f"x in U(x): {ball_x.contains(x)}, y in U(y): {ball_y.contains(y)}",
             )
         half = max(1, samples // 2)
-        for z in ball_members(ball_x, rng, half):
-            report.record()
-            if ball_y.contains(z):
-                report.fail(
-                    {"w": w, "x": x, "y": y, "z": z, "m": m},
-                    "balls are disjoint",
-                    "z lies in both",
-                )
-        for z in ball_members(ball_y, rng, half):
-            report.record()
-            if ball_x.contains(z):
-                report.fail(
-                    {"w": w, "x": x, "y": y, "z": z, "m": m},
-                    "balls are disjoint",
-                    "z lies in both",
-                )
+        for own, other in ((ball_x, ball_y), (ball_y, ball_x)):
+            members = ball_members(own, rng, half)
+            for z, in_other in zip(members, other.contains_all(members)):
+                report.record()
+                if in_other:
+                    report.fail(
+                        {"w": w, "x": x, "y": y, "z": z, "m": m},
+                        "balls are disjoint",
+                        "z lies in both",
+                    )
     return report
 
 
@@ -169,10 +164,10 @@ def check_clopen_separation(seed: int, instances: int = 20, samples: int = 100) 
                 "y inside",
             )
             continue
-        ball_y = Ball(w, y, m, strict=True)
-        for z in ball_members(ball_y, rng, samples):
+        members = ball_members(Ball(w, y, m, strict=True), rng, samples)
+        for z, in_x in zip(members, ball_x.contains_all(members)):
             report.record()
-            if ball_x.contains(z):
+            if in_x:
                 report.fail(
                     {"w": w, "x": x, "y": y, "z": z, "m": m},
                     "U_m(y) misses U_m(x) for outside y",
@@ -205,9 +200,10 @@ def check_closed_ball_dichotomy(seed: int, instances: int = 20, samples: int = 1
                     side.value,
                 )
                 continue
-            for z in ball_members(translated, rng, samples // 2):
+            members = ball_members(translated, rng, samples // 2)
+            for z, inside in zip(members, ball.contains_all(members)):
                 report.record()
-                if ball.contains(z) != (side is Side.INSIDE):
+                if inside != (side is Side.INSIDE):
                     report.fail(
                         {"w": w, "x": x, "y": y, "z": z, "m": m},
                         f"translated ball stays {side.value}",
@@ -237,10 +233,10 @@ def check_integer_refinement(seed: int, instances: int = 20, samples: int = 100)
             )
             continue
         for y in ball_members(ball, rng, max(2, samples // 10)):
-            piece = refinement.closed_piece(y)
-            for z in ball_members(piece, rng, 10):
+            members = ball_members(refinement.closed_piece(y), rng, 10)
+            for z, inside in zip(members, ball.contains_all(members)):
                 report.record()
-                if not ball.contains(z):
+                if not inside:
                     report.fail(
                         {"w": w, "x": x, "y": y, "z": z, "m": m, "alpha": refinement.alpha},
                         "closed piece stays inside the strict ball",

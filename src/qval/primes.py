@@ -1,6 +1,9 @@
 """Integer number-theory helpers: primality, factorization, square roots mod p."""
 
+from collections import Counter
 from functools import lru_cache
+from itertools import count
+from math import gcd
 
 from .errors import DomainError
 
@@ -11,6 +14,11 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 DETERMINISTIC_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# factorize trial-divides below this; Pollard-Brent splits what is left
+_TRIAL_DIVISION_LIMIT = 1000
+# Pollard-Brent multiplies this many differences before taking one gcd
+_BRENT_BATCH = 128
 
 
 @lru_cache(maxsize=4096)
@@ -53,23 +61,64 @@ def require_prime(p: int) -> int:
 
 @lru_cache(maxsize=1024)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n ≥ 2 by trial division, as ((p, exponent), ...)."""
+    """Prime factorization of 2 ≤ n < DETERMINISTIC_PRIMALITY_BOUND, as
+    ((p, exponent), ...) with p ascending.
+
+    Trial division removes the factors below a small limit; what remains
+    is certified prime by ``is_prime`` or split by Pollard-Brent, so every
+    factor returned is a proven prime.
+    """
     if n < 2:
         raise DomainError(f"cannot factorize {n}")
-    factors = []
+    if n >= DETERMINISTIC_PRIMALITY_BOUND:
+        raise DomainError(
+            f"factorization is supported only below {DETERMINISTIC_PRIMALITY_BOUND}; got {n}"
+        )
+    factors: Counter[int] = Counter()
     remaining = n
     p = 2
-    while p * p <= remaining:
-        if remaining % p == 0:
-            e = 0
-            while remaining % p == 0:
-                remaining //= p
-                e += 1
-            factors.append((p, e))
+    while p < _TRIAL_DIVISION_LIMIT and p * p <= remaining:
+        while remaining % p == 0:
+            remaining //= p
+            factors[p] += 1
         p += 1 if p == 2 else 2
-    if remaining > 1:
-        factors.append((remaining, 1))
-    return tuple(factors)
+    pending = [remaining] if remaining > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            factors[m] += 1
+        else:
+            f = _pollard_brent(m)
+            pending += [f, m // f]
+    return tuple(sorted(factors.items()))
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below the
+    trial-division limit (Brent's cycle search on x ↦ x² + c mod n)."""
+    for c in count(1):
+        y, r, product, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(_BRENT_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    product = product * abs(x - y) % n
+                g = gcd(product, n)
+                k += _BRENT_BATCH
+            r *= 2
+        if g == n:
+            # the batch overshot: replay it one difference at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(abs(x - saved), n)
+        if g != n:
+            return g
 
 
 def legendre_symbol(a: int, p: int) -> int:

@@ -11,9 +11,9 @@ All operations are exact; nothing in this module rounds.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .errors import DomainError
+from .primes import factorize
 
 Rational = Fraction
 
@@ -23,18 +23,14 @@ _checked_d: set[int] = set()
 
 
 def is_squarefree(n: int) -> bool:
-    """True iff no prime square divides n (n = 0 counts as not squarefree)."""
+    """True iff no prime square divides n (n = 0 counts as not squarefree).
+
+    Raises DomainError for |n| at or above ``primes.DETERMINISTIC_PRIMALITY_BOUND``.
+    """
     n = abs(n)
-    if n == 0:
-        return False
-    if n % 4 == 0:
-        return False
-    p = 3
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        p += 2
-    return True
+    if n < 2:
+        return n == 1
+    return all(e == 1 for _, e in factorize(n))
 
 
 def validate_discriminant(d: int) -> int:
@@ -209,11 +205,3 @@ def as_rational(x) -> Fraction:
             raise DomainError(f"{x} is not rational")
         return x.a
     return Fraction(x)
-
-
-def sqrt_exact(n: int) -> int | None:
-    """Integer square root of n if n is a perfect square, else None."""
-    if n < 0:
-        return None
-    r = isqrt(n)
-    return r if r * r == n else None

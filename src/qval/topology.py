@@ -8,6 +8,12 @@ Hausdorff separation bound for two distinct points, classify a point
 against a closed ball (whose translate then lies entirely inside or
 entirely outside), refine a strict ball to closed balls with integer
 bounds, and compare two quasi-valuations that share a ring.
+
+Where many points meet one bound, each gauge w(y − c) is evaluated once
+per (center, point), as an integer matrix (``batch.gauge_matrix``), and
+compared against the bound as an integer: ``Ball.contains_all`` for the
+members of one ball, and ``ring_value_equivalence`` for every sample,
+threshold and sampled center at once.
 """
 
 import enum
@@ -15,11 +21,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from .batch import gauge_matrix
 from .errors import DomainError, PropertyViolation
 from .quasi import QVRing, coerce_to_field
 from .report import PropertyReport
 from .valuations import v_p
-from .values import Value
+from .values import INFINITY, Value
 
 
 @dataclass(frozen=True)
@@ -58,12 +67,26 @@ class Ball:
         g = self.gauge(y)
         return g > self.bound if self.strict else g >= self.bound
 
+    def contains_all(self, points) -> list[bool]:
+        """``[self.contains(y) for y in points]``, from one row of gauges."""
+        gauges, infinite = gauge_matrix(self.qv, [self.center], points)
+        return _clears(self.qv, gauges[0], infinite[0], self.bound, self.strict).tolist()
+
     def __contains__(self, y) -> bool:
         return self.contains(y)
 
     def __str__(self) -> str:
         kind = "U" if self.strict else "closedU"
         return f"{kind}_{self.bound}({self.center}; {self.qv})"
+
+
+def _clears(w, gauges, infinite, bound, strict: bool = False):
+    """Entrywise w > bound (strict) or w ≥ bound, for scaled integer gauges
+    g = w·den: the least passing g is floor(bound·den) + 1 or ceil(bound·den),
+    and ∞ passes wherever ``infinite`` holds."""
+    scaled = Fraction(bound) * w.value_denominator
+    least = math.floor(scaled) + 1 if strict else math.ceil(scaled)
+    return infinite | (gauges >= least)
 
 
 def recenter(first: Ball, second: Ball, y) -> Ball:
@@ -212,44 +235,48 @@ def ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6),
         return report
 
     samples = [coerce_to_field(w1, x) for x in samples]
-    ring1, ring2 = QVRing(w1), QVRing(w2)
-    agreed = True
-    for x in samples:
-        report.record()
-        in1, in2 = ring1.contains(x), ring2.contains(x)
-        if in1 != in2:
-            agreed = False
-            report.fail(
-                {"x": x},
-                "ring membership must agree for the pair to share a ring",
-                f"w1-ring: {in1}, w2-ring: {in2}",
-            )
-    if not agreed:
+    # w(x) is the gauge of x around the center 0, one row per constructor
+    row1 = [m[0] for m in gauge_matrix(w1, [0], samples)]
+    row2 = [m[0] for m in gauge_matrix(w2, [0], samples)]
+    ring1, ring2 = _clears(w1, *row1, 0), _clears(w2, *row2, 0)
+    report.record(len(samples))
+    disagree = np.flatnonzero(ring1 != ring2)
+    for i in disagree:
+        report.fail(
+            {"x": samples[i]},
+            "ring membership must agree for the pair to share a ring",
+            f"w1-ring: {ring1[i]}, w2-ring: {ring2[i]}",
+        )
+    alphas = list(alpha_grid)
+    if disagree.size or not alphas:
         return report
 
-    for x in samples:
-        v1, v2 = w1.value(x), w2.value(x)
-        for alpha in alpha_grid:
-            report.record()
-            if (v1 >= alpha) != (v2 >= alpha):
-                report.fail(
-                    {"x": x, "alpha": alpha},
-                    f"w1(x) >= {alpha} iff w2(x) >= {alpha}",
-                    f"w1(x) = {v1}, w2(x) = {v2}",
-                )
+    def over_grid(w, gauges, infinite):
+        """w ≥ alpha for every alpha of the grid, the grid on a new axis 1."""
+        return np.stack([_clears(w, gauges, infinite, alpha) for alpha in alphas], axis=1)
+
+    at1, at2 = over_grid(w1, *row1), over_grid(w2, *row2)
+    report.record(at1.size)
+    for i, k in np.argwhere(at1 != at2):
+        report.fail(
+            {"x": samples[i], "alpha": alphas[k]},
+            f"w1(x) >= {alphas[k]} iff w2(x) >= {alphas[k]}",
+            f"w1(x) = {_as_value(w1, *row1, i)}, w2(x) = {_as_value(w2, *row2, i)}",
+        )
 
     # closed balls with integer bounds around sampled centers agree pointwise
     centers = samples[:: max(1, len(samples) // 8)]
-    for center in centers:
-        for alpha in alpha_grid:
-            ball1 = Ball(w1, center, Fraction(alpha), strict=False)
-            ball2 = Ball(w2, center, Fraction(alpha), strict=False)
-            for y in samples:
-                report.record()
-                if ball1.contains(y) != ball2.contains(y):
-                    report.fail(
-                        {"center": center, "alpha": alpha, "y": y},
-                        "closed balls under w1 and w2 contain the same points",
-                        f"w1-ball: {ball1.contains(y)}, w2-ball: {ball2.contains(y)}",
-                    )
+    in1 = over_grid(w1, *gauge_matrix(w1, centers, samples))
+    in2 = over_grid(w2, *gauge_matrix(w2, centers, samples))
+    report.record(in1.size)
+    for c, k, j in np.argwhere(in1 != in2):
+        report.fail(
+            {"center": centers[c], "alpha": alphas[k], "y": samples[j]},
+            "closed balls under w1 and w2 contain the same points",
+            f"w1-ball: {in1[c, k, j]}, w2-ball: {in2[c, k, j]}",
+        )
     return report
+
+
+def _as_value(w, gauges, infinite, i) -> Value:
+    return INFINITY if infinite[i] else Value(Fraction(int(gauges[i]), w.value_denominator))

@@ -95,7 +95,7 @@ def refine(values, certified, deeper, *coords):
     that entry; arrays pass deeper only those entries, as Python ints."""
     if not isinstance(values, np.ndarray):
         return values if certified else deeper(*coords)
-    todo = np.flatnonzero(~certified)
-    if todo.size:
+    todo = ~certified
+    if todo.any():
         values[todo] = deeper(*(c[todo].astype(object) for c in coords))
     return values

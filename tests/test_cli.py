@@ -98,6 +98,16 @@ def test_approx_command(capsys, tmp_path):
         assert achieved >= required
 
 
+@pytest.mark.parametrize("n, element, value", [
+    ("1000000000000000003", "5000000000000000015", "1"),  # prime; the element is 5n
+    ("1000000016000000063", "1000000009/1000000007", "-1"),  # 1000000007 * 1000000009
+])
+def test_eval_nadic_with_large_prime_factors(capsys, n, element, value):
+    code, out, _ = run(capsys, "eval", "--qv", f"nadic:{n}", element)
+    assert code == 0
+    assert out.strip() == f"w({element}) = {value}"
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "eval", "--qv", "vp:4", "6")[0] == 2
     assert run(capsys, "eval", "--qv", "bogus:1", "6")[0] == 2
@@ -109,6 +119,9 @@ def test_usage_errors_exit_two(capsys):
                "--bound", "x", "1")[0] == 2
     assert run(capsys, "eval", "--qv", "vp:2", "1" * 5001)[0] == 2
     assert run(capsys, "eval", "--qv", "vp:2", "(" * 3000 + "1" + ")" * 3000)[0] == 2
+    # factorization and primality are deterministic only below 3.3e24
+    assert run(capsys, "eval", "--qv", f"nadic:{10**25}", "5")[0] == 2
+    assert run(capsys, "eval", "--qv", "inert:3,d=10000000000000000000000002", "1")[0] == 2
     with pytest.raises(SystemExit) as info:
         main(["lemma", "--id", "9.99"])
     assert info.value.code == 2

@@ -163,7 +163,9 @@ def test_triple_value_agrees_on_ints_and_arrays():
         if w.d == 2:
             # one entry per branch of 7 that precision 8 leaves uncertified
             triples += [(-hensel_sqrt(7, 2, 12, branch), 1, 1) for branch in (1, 2)]
-        expected = [w.triple_value(*t) for t in triples]
+        expected = np.array([w.triple_value(*t) for t in triples], dtype=object)
         for dtype in (np.int64, object):
-            a, b, q = (np.array(column, dtype=dtype) for column in zip(*triples))
-            assert w.triple_value(a, b, q).tolist() == expected, (w, dtype)
+            for shape in ((len(triples),), (2, len(triples) // 2)):
+                a, b, q = (np.array(column, dtype=dtype).reshape(shape) for column in zip(*triples))
+                assert (w.triple_value(a, b, q).tolist()
+                        == expected.reshape(shape).tolist()), (w, dtype, shape)

@@ -1,7 +1,12 @@
+from math import prod
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qval.errors import DomainError
 from qval.primes import (
+    DETERMINISTIC_PRIMALITY_BOUND,
     factorize,
     int_valuation,
     is_prime,
@@ -38,6 +43,31 @@ def test_factorize():
     assert factorize(360) == ((2, 3), (3, 2), (5, 1))
     with pytest.raises(DomainError):
         factorize(1)
+
+
+def test_factorize_large_cofactors():
+    assert factorize(1000000000000000003) == ((1000000000000000003, 1),)
+    assert factorize(1000000016000000063) == ((1000000007, 1), (1000000009, 1))
+    assert factorize(2 * 1009**2 * 1000000000000000003) == (
+        (2, 1), (1009, 2), (1000000000000000003, 1))
+    with pytest.raises(DomainError):
+        factorize(DETERMINISTIC_PRIMALITY_BOUND)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.integers(2, 10**18),
+    # products of numbers up to 10^6: often two or more prime factors past the
+    # trial-division limit, which Pollard-Brent has to split
+    st.lists(st.integers(1000, 10**6), min_size=2, max_size=4).map(prod),
+))
+def test_factorize_matches_sympy(sympy, n):
+    assert factorize(n) == tuple(sorted(sympy.factorint(n).items()))
 
 
 def test_int_valuation():

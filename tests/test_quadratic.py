@@ -31,6 +31,8 @@ def test_squarefree():
     assert not is_squarefree(12)
     assert not is_squarefree(-18)
     assert not is_squarefree(0)
+    assert is_squarefree(1000000016000000063)  # 1000000007 * 1000000009
+    assert not is_squarefree(-2 * 1000000007**2)
 
 
 def test_invalid_discriminants_rejected():

@@ -5,7 +5,9 @@ import pytest
 
 from qval.errors import DomainError
 from qval.lemmas import constructor_pool
-from qval.quasi import MinOf, NAdic, Scaled, min_extension
+from qval.quadratic import QuadElem
+from qval.quasi import MinOf, NAdic, QVRing, Scaled, coerce_to_field, min_extension
+from qval.report import PropertyReport
 from qval.sampling import ball_members, elements_for, shift_above
 from qval.topology import (
     Ball,
@@ -17,7 +19,7 @@ from qval.topology import (
     ring_value_equivalence,
     separation_witness,
 )
-from qval.valuations import PAdicValuation, extensions_of
+from qval.valuations import PAdicValuation, extensions_of, hensel_sqrt
 
 V2 = PAdicValuation(2)
 V3 = PAdicValuation(3)
@@ -260,3 +262,128 @@ def test_ring_value_equivalence_reports_ring_disagreement():
     # different primes are rejected before the ring is even consulted
     report = ring_value_equivalence(V2, V3, samples)
     assert not report.passed
+
+
+def _reference_ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6), seed=None):
+    """ring_value_equivalence as one scalar value() and one Ball.contains per
+    sample, threshold and center: the per-alpha loop the matrices replace."""
+    report = PropertyReport(lemma="ring-value-equivalence", seed=seed)
+    p1, p2 = w1.extended_prime, w2.extended_prime
+    report.record()
+    if p1 is None or p2 is None or p1 != p2:
+        report.fail(
+            {"w1": w1, "w2": w2},
+            "both quasi-valuations extend one common p-adic valuation",
+            f"base primes {p1} and {p2}",
+        )
+        return report
+    samples = [coerce_to_field(w1, x) for x in samples]
+    agreed = True
+    for x in samples:
+        report.record()
+        in1, in2 = QVRing(w1).contains(x), QVRing(w2).contains(x)
+        if in1 != in2:
+            agreed = False
+            report.fail(
+                {"x": x},
+                "ring membership must agree for the pair to share a ring",
+                f"w1-ring: {in1}, w2-ring: {in2}",
+            )
+    if not agreed:
+        return report
+    for x in samples:
+        v1, v2 = w1.value(x), w2.value(x)
+        for alpha in alpha_grid:
+            report.record()
+            if (v1 >= alpha) != (v2 >= alpha):
+                report.fail(
+                    {"x": x, "alpha": alpha},
+                    f"w1(x) >= {alpha} iff w2(x) >= {alpha}",
+                    f"w1(x) = {v1}, w2(x) = {v2}",
+                )
+    for center in samples[:: max(1, len(samples) // 8)]:
+        for alpha in alpha_grid:
+            ball1 = Ball(w1, center, Fraction(alpha), strict=False)
+            ball2 = Ball(w2, center, Fraction(alpha), strict=False)
+            for y in samples:
+                report.record()
+                if ball1.contains(y) != ball2.contains(y):
+                    report.fail(
+                        {"center": center, "alpha": alpha, "y": y},
+                        "closed balls under w1 and w2 contain the same points",
+                        f"w1-ball: {ball1.contains(y)}, w2-ball: {ball2.contains(y)}",
+                    )
+    return report
+
+
+def _reports_agree(w1, w2, samples, **options):
+    report = ring_value_equivalence(w1, w2, samples, seed=5, **options)
+    assert report.to_dict() == _reference_ring_value_equivalence(
+        w1, w2, samples, seed=5, **options).to_dict()
+    return report
+
+
+def test_ring_value_equivalence_matches_the_scalar_loop_on_passing_pairs():
+    rng = random.Random(13)
+    u1, u2 = extensions_of(7, 2)
+    for w1, w2 in ((MinOf((u1, u2)), MinOf((u2, u1))), (u1, u1), (V3, V3),
+                   (min_extension(3, 2), min_extension(3, 2))):
+        for count in (2, 9, 40):
+            assert _reports_agree(w1, w2, elements_for(w1, rng, count)).passed
+    # past the int64 gate the gauges are Python ints, still compared exactly
+    huge = [x * 7**30 for x in elements_for(u1, rng, 10)] + [Fraction(1, 7**40)]
+    assert _reports_agree(u1, u1, huge).passed
+
+
+def test_ring_value_equivalence_matches_the_scalar_loop_on_ring_disagreement():
+    rng = random.Random(14)
+    u1, u2 = extensions_of(7, 2)
+    # (√2 − s)/7 for the branch root s lies in that branch's ring only
+    outliers = [QuadElem(Fraction(-hensel_sqrt(7, 2, 2, b), 7), Fraction(1, 7), 2) for b in (1, 2)]
+    samples = elements_for(u1, rng, 20) + outliers
+    for w1, w2 in ((u1, u2), (u1, MinOf((u1, u2))), (MinOf((u2, u1)), u2)):
+        report = _reports_agree(w1, w2, samples)
+        assert report.failures and all("ring" in f.expected for f in report.failures)
+
+
+def test_ring_value_equivalence_matches_the_scalar_loop_on_threshold_failures():
+    rng = random.Random(15)
+    u1, u2 = extensions_of(7, 2)
+    w2 = MinOf((u1, u2))
+    # inside both rings, but √2 − s is deeper under the branch of s than under the min
+    samples = [x for x in elements_for(u1, rng, 200) if w2.value(x) >= 0][:30]
+    samples += [QuadElem(-hensel_sqrt(7, 2, 3, b), 1, 2) for b in (1, 2)]
+    for grid in (range(-5, 6), [3, 0, 1], []):
+        report = _reports_agree(u1, w2, samples, alpha_grid=grid)
+        kinds = {f.expected.split()[0] for f in report.failures}
+        assert kinds == ({"w1(x)", "closed"} if grid else set())
+
+
+def test_ring_value_equivalence_on_empty_and_single_samples():
+    for samples in ([], [Fraction(3, 7)], [0]):
+        report = _reports_agree(V3, V3, samples)
+        assert report.passed
+        assert report.instances == 1 + len(samples) * (1 + 11 + 11)
+
+
+def test_contains_all_agrees_with_contains():
+    rng = random.Random(16)
+    for w in constructor_pool():
+        points = elements_for(w, rng, 25)
+        center = points[rng.randrange(len(points))]
+        for bound in (Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(3)):
+            for strict in (True, False):
+                ball = Ball(w, center, bound, strict=strict)
+                members = ball_members(ball, rng, 5)
+                assert ball.contains_all(points + members) == [
+                    ball.contains(y) for y in points + members], (w, bound, strict)
+    assert Ball(V2, 0, 0).contains_all([]) == []
+
+
+def test_contains_all_past_the_sentinel():
+    w = Scaled(V2, 2**45)  # w(4) = 2^46 is a finite gauge above the ∞ sentinel
+    for strict in (True, False):
+        ball = Ball(w, 0, 2**46, strict=strict)
+        points = [0, 4, 8, 2]
+        assert ball.contains_all(points) == [ball.contains(y) for y in points]
+        assert ball.contains_all(points) == [True, not strict, True, False]
