@@ -5,11 +5,12 @@ The all-pairs axiom check over 500 samples makes ~10^5 field operations
 and twice as many valuations per constructor; doing that through Fraction
 objects is an order of magnitude too slow for the harness's time budget.
 Here the samples become arrays of integer triples x = (A + B·√d)/Q, the
-pairwise sums and products are formed by broadcasting, and the
-constructor's own ``triple_value`` evaluates each array in one call.  The
-ball gauges w(y − c) that the topology checks compare against bounds are
-formed the same way: one difference triple per (center, point), all of
-them evaluated once, as an integer matrix.
+sums and products of the n(n+1)/2 unordered pairs are formed by indexing
+with the upper triangle, and the constructor's own ``triple_value``
+evaluates each array in one call.  The ball gauges w(y − c) that the
+topology checks compare against bounds are formed the same way: one
+difference triple per (center, point), all of them evaluated once, as an
+integer matrix.
 
 The arithmetic stays exact.  A worst-case magnitude check with unbounded
 Python ints, which takes the constructor's ``magnitude_bound`` into
@@ -81,22 +82,22 @@ def pairwise_axiom_check(w, samples):
     dtype = _array_dtype(w, *worst)
     a, b, q = (np.array(column, dtype=dtype) for column in zip(*triples))
 
-    # pairwise sum and product triples via broadcasting (full matrices;
-    # only the upper triangle is reported)
-    a_col, b_col, q_col = a[:, None], b[:, None], q[:, None]
-    sum_b = (b_col * q + q_col * b).ravel()
-    pair_q = (q_col * q).ravel()
-    sums = ((a_col * q + q_col * a).ravel(), sum_b, pair_q)
+    # sum and product triples for the unordered pairs i ≤ j only, row-major
+    # (both are symmetric in i and j, so the lower triangle adds nothing)
+    iu, ju = np.triu_indices(n)
+    ai, bi, qi, aj, bj, qj = a[iu], b[iu], q[iu], a[ju], b[ju], q[ju]
+    sum_b = bi * qj + qi * bj
+    pair_q = qi * qj
+    sums = (ai * qj + qi * aj, sum_b, pair_q)
     if w.d is None:
-        products = ((a_col * a).ravel(), sum_b, pair_q)  # sum_b is all zeros
+        products = (ai * aj, sum_b, pair_q)  # sum_b is all zeros
     else:
-        products = ((a_col * a + (b_col * b) * w.d).ravel(), (a_col * b + b_col * a).ravel(),
-                    pair_q)
+        products = (ai * aj + (bi * bj) * w.d, ai * bj + bi * aj, pair_q)
 
     values = w.triple_value(a, b, q)
     negated = w.triple_value(-a, -b, q)
-    w_sum = w.triple_value(*sums).reshape(n, n)
-    w_prod = w.triple_value(*products).reshape(n, n)
+    w_sum = w.triple_value(*sums)
+    w_prod = w.triple_value(*products)
 
     violations: list[tuple[str, int, int]] = []
     checked = n
@@ -106,27 +107,16 @@ def pairwise_axiom_check(w, samples):
     # ∞ enters every ordering through these masks, never as a number, so
     # finite values of any size compare exactly
     infinite = values == INF
-    ix, iy = infinite[:, None], infinite[None, :]
-    vx, vy = values[:, None], values[None, :]
+    ix, iy = infinite[iu], infinite[ju]
+    vx, vy = values[iu], values[ju]
     floor = np.where(ix, vy, np.where(iy, vx, np.minimum(vx, vy)))
 
-    upper = np.triu(np.ones((n, n), dtype=bool))
-    n_pairs = n * (n + 1) // 2
+    def report(kind, bad):
+        violations.extend((kind, int(iu[k]), int(ju[k])) for k in np.flatnonzero(bad))
 
-    bad = (w_prod != INF) & (ix | iy | (w_prod < vx + vy)) & upper
-    checked += n_pairs
-    for i, j in np.argwhere(bad):
-        violations.append(("superadditive", int(i), int(j)))
-
-    bad = (w_sum != INF) & ((ix & iy) | (w_sum < floor)) & upper
-    checked += n_pairs
-    for i, j in np.argwhere(bad):
-        violations.append(("ultrametric", int(i), int(j)))
-
-    differing = ((ix != iy) | (vx != vy)) & upper
-    checked += int(differing.sum())
-    bad = differing & (w_sum != floor)
-    for i, j in np.argwhere(bad):
-        violations.append(("equality-case", int(i), int(j)))
-
+    report("superadditive", (w_prod != INF) & (ix | iy | (w_prod < vx + vy)))
+    report("ultrametric", (w_sum != INF) & ((ix & iy) | (w_sum < floor)))
+    differing = (ix != iy) | (vx != vy)
+    report("equality-case", differing & (w_sum != floor))
+    checked += 2 * len(iu) + int(differing.sum())
     return checked, violations

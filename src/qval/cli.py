@@ -21,7 +21,7 @@ from .qvspec import GRAMMAR_HELP, parse_qv
 from .report import PropertyReport
 from .sampling import ball_members, elements_for
 from .topology import Ball, separation_witness
-from .valuations import set_precision_cap
+from .valuations import reset_precision_cap, set_precision_cap
 
 PRECISION_ENV = "QVAL_PRECISION_CAP"
 
@@ -190,9 +190,10 @@ def main(argv=None) -> int:
         except ValueError:
             print(f"{PRECISION_ENV} must be an integer", file=sys.stderr)
             return 2
+    token = None
     try:
         if cap is not None:
-            set_precision_cap(cap)
+            token = set_precision_cap(cap)  # for this call only
         return args.handler(args)
     except (ParseError, DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -200,6 +201,9 @@ def main(argv=None) -> int:
     except PrecisionExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if token is not None:
+            reset_precision_cap(token)
 
 
 if __name__ == "__main__":

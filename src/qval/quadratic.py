@@ -11,17 +11,16 @@ All operations are exact; nothing in this module rounds.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError
 from .primes import factorize
 
 Rational = Fraction
 
-# discriminant parameters already validated as squarefree, to keep
-# construction of intermediate elements cheap
-_checked_d: set[int] = set()
 
-
+# cached (and bounded) because every QuadElem construction validates its d
+@lru_cache(maxsize=4096)
 def is_squarefree(n: int) -> bool:
     """True iff no prime square divides n (n = 0 counts as not squarefree).
 
@@ -35,13 +34,10 @@ def is_squarefree(n: int) -> bool:
 
 def validate_discriminant(d: int) -> int:
     """Check that d defines a proper quadratic extension Q(√d)."""
-    if d in _checked_d:
-        return d
     if not isinstance(d, int) or d in (0, 1):
         raise DomainError(f"d must be a squarefree integer other than 0 and 1, got {d!r}")
     if not is_squarefree(d):
         raise DomainError(f"d must be squarefree, got {d}")
-    _checked_d.add(d)
     return d
 
 

@@ -64,19 +64,27 @@ def value_at(w, x, **options) -> Value:
 
 
 def multiplicity(x, p: int):
-    """Multiplicity of the prime p in x, entrywise for arrays; 0 maps to INF."""
+    """Multiplicity of the prime p in x, entrywise for arrays; 0 maps to INF.
+
+    Arrays (int64 or dtype=object) are swept whole once, to find the
+    nonzero entries divisible by p; each later round divides only the
+    entries still divisible, so the work follows the total multiplicity,
+    not the size times the deepest entry.  x is never written to.
+    """
     if not isinstance(x, np.ndarray):
         return int_valuation(p, x) if x else INF
-    v = np.zeros(x.shape, dtype=x.dtype)
-    zero = x == 0
-    cur = np.where(zero, 1, x)
-    active = cur % p == 0
-    while active.any():
-        cur = np.where(active, cur // p, cur)
-        v += active
-        active &= cur % p == 0
+    flat = x.ravel()
+    zero = flat == 0
+    v = np.zeros(flat.shape, dtype=x.dtype)
+    at = np.flatnonzero(~zero & (flat % p == 0))
+    cur = flat[at]  # a copy: fancy indexing never returns a view
+    while at.size:
+        cur //= p
+        v[at] += 1
+        still = cur % p == 0
+        at, cur = at[still], cur[still]
     v[zero] = INF
-    return v
+    return v.reshape(x.shape)
 
 
 def minimum(x, y):

@@ -17,6 +17,7 @@ Every extension restricts on Q to v_p itself; no rescaling is applied.
 """
 
 import enum
+from contextvars import ContextVar, Token
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -31,18 +32,25 @@ from .values import Value
 HENSEL_START_PRECISION = 8
 DEFAULT_PRECISION_CAP = 2**16
 
-_precision_cap = DEFAULT_PRECISION_CAP
+# per context (thread, task, or contextvars.Context.run), so one caller's
+# cap never reaches another
+_precision_cap: ContextVar[int] = ContextVar("precision_cap", default=DEFAULT_PRECISION_CAP)
 
 
-def set_precision_cap(cap: int) -> None:
-    global _precision_cap
+def set_precision_cap(cap: int) -> Token:
+    """Set the cap in the current context; ``reset_precision_cap`` with the
+    returned token restores the previous one."""
     if cap < HENSEL_START_PRECISION:
         raise DomainError(f"precision cap must be at least {HENSEL_START_PRECISION}")
-    _precision_cap = cap
+    return _precision_cap.set(cap)
+
+
+def reset_precision_cap(token: Token) -> None:
+    _precision_cap.reset(token)
 
 
 def get_precision_cap() -> int:
-    return _precision_cap
+    return _precision_cap.get()
 
 
 def v_p(p: int, x) -> Value:
@@ -73,7 +81,7 @@ def classify(p: int, d: int) -> SplitKind:
     return SplitKind.SPLIT if pow(d % p, (p - 1) // 2, p) == 1 else SplitKind.INERT
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _split_seeds(p: int, d: int) -> tuple[int, int]:
     """The two branch seeds: square roots of d to the base precision.
 
@@ -102,7 +110,7 @@ def hensel_sqrt(p: int, d: int, k: int, branch: int = 1) -> int:
     return _hensel_sqrt_cached(p, d, k, branch)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _hensel_sqrt_cached(p: int, d: int, k: int, branch: int) -> int:
     seed = _split_seeds(p, d)[branch - 1]
     if p == 2:
@@ -231,7 +239,7 @@ class ExtendedValuation:
 
     def triple_value(self, a, b, q, precision_cap: int | None = None):
         if self.kind is SplitKind.SPLIT:
-            cap = _precision_cap if precision_cap is None else precision_cap
+            cap = _precision_cap.get() if precision_cap is None else precision_cap
             return self._certified_split_value(a, b, q, HENSEL_START_PRECISION, cap)
         # inert and ramified: v_p of the norm, halved.  Exactness: the norm
         # is multiplicative and nonzero off 0, and for inert primes its

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -141,31 +142,66 @@ def test_malformed_problem_file_exits_two(capsys, tmp_path, problem):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _deep_split_element():
+    # a - sqrt(2) with a ≡ sqrt(2) mod 7^12: precision 8 cannot certify it
+    return f"{hensel_sqrt(7, 2, 12, 1)} - 1*sqrt(2)"
+
+
 def test_precision_cap_failure_exits_one(capsys):
-    deep = hensel_sqrt(7, 2, 12, 1)
     code, _, err = run(capsys, "--precision-cap", "8", "eval",
-                       "--qv", "split1:7,d=2", f"{deep} - 1*sqrt(2)")
+                       "--qv", "split1:7,d=2", _deep_split_element())
     assert code == 1
     assert "precision" in err
-    valuations.set_precision_cap(valuations.DEFAULT_PRECISION_CAP)
 
 
 def test_precision_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("QVAL_PRECISION_CAP", "512")
     code, _, _ = run(capsys, "eval", "--qv", "vp:2", "6")
     assert code == 0
-    assert valuations.get_precision_cap() == 512
+    monkeypatch.setenv("QVAL_PRECISION_CAP", "8")
+    code, _, err = run(capsys, "eval", "--qv", "split1:7,d=2", _deep_split_element())
+    assert code == 1
+    assert "precision" in err
     monkeypatch.setenv("QVAL_PRECISION_CAP", "not-a-number")
     assert run(capsys, "eval", "--qv", "vp:2", "6")[0] == 2
-    valuations.set_precision_cap(valuations.DEFAULT_PRECISION_CAP)
 
 
 def test_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("QVAL_PRECISION_CAP", "512")
-    code, _, _ = run(capsys, "--precision-cap", "1024", "eval", "--qv", "vp:2", "6")
+    monkeypatch.setenv("QVAL_PRECISION_CAP", "8")
+    code, out, _ = run(capsys, "--precision-cap", "1024", "eval",
+                       "--qv", "split1:7,d=2", _deep_split_element())
     assert code == 0
-    assert valuations.get_precision_cap() == 1024
-    valuations.set_precision_cap(valuations.DEFAULT_PRECISION_CAP)
+    assert out.startswith("w(")
+
+
+def test_precision_cap_does_not_outlive_the_call(capsys, monkeypatch):
+    default = valuations.DEFAULT_PRECISION_CAP
+    deep = _deep_split_element()
+    for argv, code in ((["--precision-cap", "8", "eval", "--qv", "vp:2", "6"], 0),
+                       (["--precision-cap", "8", "eval", "--qv", "split1:7,d=2", deep], 1),
+                       (["--precision-cap", "8", "eval", "--qv", "vp:4", "6"], 2),
+                       (["--precision-cap", "4", "eval", "--qv", "vp:2", "6"], 2),
+                       (["--precision-cap", "1024", "eval", "--qv", "vp:2", "6"], 0)):
+        assert run(capsys, *argv)[0] == code
+        assert valuations.get_precision_cap() == default
+    monkeypatch.setenv("QVAL_PRECISION_CAP", "8")
+    assert run(capsys, "eval", "--qv", "vp:2", "6")[0] == 0
+    assert valuations.get_precision_cap() == default
+
+
+def test_precision_cap_is_per_thread():
+    seen = []
+
+    def worker():
+        valuations.set_precision_cap(8)
+        seen.append(valuations.get_precision_cap())
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen == [8]
+    assert valuations.get_precision_cap() == valuations.DEFAULT_PRECISION_CAP
 
 
 def test_reproducible_with_seed(capsys):

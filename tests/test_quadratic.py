@@ -35,6 +35,17 @@ def test_squarefree():
     assert not is_squarefree(-2 * 1000000007**2)
 
 
+def test_discriminant_cache_is_bounded():
+    bound = is_squarefree.cache_info().maxsize
+    assert bound is not None
+    for d in range(-bound - 10, bound + 10):  # 2·bound + 20 distinct d
+        try:
+            QuadElem(1, 1, d)
+        except DomainError:
+            pass
+    assert is_squarefree.cache_info().currsize <= bound
+
+
 def test_invalid_discriminants_rejected():
     for bad in (0, 1, 4, 9, 12, -4):
         with pytest.raises(DomainError):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from qval.errors import DomainError, PrecisionExceededError
-from qval.quadratic import QuadElem
+from qval import valuations
+from qval.quadratic import QuadElem, is_squarefree
 from qval.sampling import quad_elements
 from qval.valuations import (
     ExtendedValuation,
@@ -264,3 +265,15 @@ def test_ramified_values_are_half_integers():
                 assert val.denominator in (1, 2)
                 seen.add(val)
     assert any(v.denominator == 2 for v in seen)
+
+
+def test_hensel_caches_are_bounded():
+    caches = (valuations._split_seeds, valuations._hensel_sqrt_cached)
+    bounds = [cache.cache_info().maxsize for cache in caches]
+    assert None not in bounds
+    fields = (d for d in range(2, 10**5) if is_squarefree(d))
+    split = [d for d in fields if classify(7, d) is SplitKind.SPLIT][:max(bounds) + 10]
+    for d in split:  # one seed pair and one root per (7, d, 8, branch 1)
+        assert extensions_of(7, d)[0].value(QuadElem(1, 1, d)) == Value(0)
+    for cache, bound in zip(caches, bounds):
+        assert cache.cache_info().currsize <= bound
