@@ -23,7 +23,7 @@ take ∞ from masks of zero inputs, never from the sentinel.
 import numpy as np
 
 from .errors import DomainError
-from .triples import INF, QuasiValuation, field_triple
+from .triples import QuasiValuation, field_triple
 
 _INT64_LIMIT = 1 << 62
 
@@ -104,18 +104,20 @@ def pairwise_axiom_check(w, samples):
     for i in np.nonzero(negated != values)[0]:
         violations.append(("negation", int(i), int(i)))
 
-    # ∞ enters every ordering through these masks, never as a number, so
-    # finite values of any size compare exactly
-    infinite = values == INF
+    # ∞ enters every ordering through masks of zero triples, never as a
+    # number, so finite values of any size (the sentinel's too) compare exactly
+    infinite = (a == 0) & (b == 0)
     ix, iy = infinite[iu], infinite[ju]
     vx, vy = values[iu], values[ju]
     floor = np.where(ix, vy, np.where(iy, vx, np.minimum(vx, vy)))
+    sum_zero = (sums[0] == 0) & (sums[1] == 0)
 
     def report(kind, bad):
         violations.extend((kind, int(iu[k]), int(ju[k])) for k in np.flatnonzero(bad))
 
-    report("superadditive", (w_prod != INF) & (ix | iy | (w_prod < vx + vy)))
-    report("ultrametric", (w_sum != INF) & ((ix & iy) | (w_sum < floor)))
+    # a field has no zero divisors: xy = 0, where w(xy) = ∞, exactly when x or y is 0
+    report("superadditive", ~(ix | iy) & (w_prod < vx + vy))
+    report("ultrametric", ~sum_zero & (w_sum < floor))
     differing = (ix != iy) | (vx != vy)
     report("equality-case", differing & (w_sum != floor))
     checked += 2 * len(iu) + int(differing.sum())

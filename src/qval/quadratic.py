@@ -3,15 +3,24 @@
 Rationals are plain :class:`fractions.Fraction` values — the stdlib type
 already guarantees the canonical form this package relies on (reduced,
 positive denominator, zero stored as 0/1).  ``QuadElem`` adds the quadratic
-layer: an element a + b·√d with exact rational coefficients and a squarefree
-integer d ∉ {0, 1}, so that √d is genuinely irrational and [Q(√d):Q] = 2.
+layer: an element a + b·√d of Q(√d) for a squarefree integer d ∉ {0, 1}, so
+that √d is genuinely irrational and [Q(√d):Q] = 2.
+
+A ``QuadElem`` stores the integer triple the evaluation code works on,
+x = (A + B·√d)/Q, reduced: Q ≥ 1 and gcd(A, B, Q) = 1.  The form is
+canonical, so equality compares integers, and field arithmetic runs on
+Python ints: each result is reduced by one gcd and built without Fractions
+and without re-checking d, which its operands already carry validated.
+Only the public constructor ``QuadElem(a, b, d)`` takes outside input; it
+accepts anything ``Fraction()`` does and validates d.
 
 All operations are exact; nothing in this module rounds.
 """
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import DomainError
 from .primes import factorize
@@ -19,7 +28,7 @@ from .primes import factorize
 Rational = Fraction
 
 
-# cached (and bounded) because every QuadElem construction validates its d
+# cached (and bounded) because every public QuadElem construction validates its d
 @lru_cache(maxsize=4096)
 def is_squarefree(n: int) -> bool:
     """True iff no prime square divides n (n = 0 counts as not squarefree).
@@ -41,31 +50,56 @@ def validate_discriminant(d: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
 class QuadElem:
-    """An element a + b·√d of Q(√d), with exact coefficients."""
+    """An element a + b·√d of Q(√d), stored as its reduced integer triple.
 
-    a: Fraction
-    b: Fraction
-    d: int
+    x = (A + B·√d)/Q with Q ≥ 1 and gcd(A, B, Q) = 1, so every element has
+    exactly one triple and equality compares integers.  ``A``, ``B``, ``Q``
+    and ``d`` are read-only attributes; ``a`` and ``b`` give the rational
+    coefficients as Fractions.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        validate_discriminant(self.d)
+    __slots__ = ("A", "B", "Q", "d")
+
+    def __init__(self, a, b, d: int):
+        a, b = Fraction(a), Fraction(b)
+        validate_discriminant(d)
+        # both fractions are reduced, so the triple over their lcm is too
+        q = lcm(a.denominator, b.denominator)
+        _set_a(self, a.numerator * (q // a.denominator))
+        _set_b(self, b.numerator * (q // b.denominator))
+        _set_q(self, q)
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return QuadElem, (self.a, self.b, self.d)
 
     @classmethod
     def root(cls, d: int) -> "QuadElem":
         """The generator √d itself."""
-        return cls(Fraction(0), Fraction(1), d)
+        return cls(0, 1, d)
 
     @classmethod
     def from_rational(cls, q, d: int) -> "QuadElem":
-        return cls(Fraction(q), Fraction(0), d)
+        return cls(q, 0, d)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.Q)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.Q)
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.B == 0
 
     def _coerce(self, other) -> "QuadElem":
         if isinstance(other, QuadElem):
@@ -74,26 +108,30 @@ class QuadElem:
                     f"cannot combine elements of Q(sqrt({self.d})) and Q(sqrt({other.d}))"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
-            return QuadElem.from_rational(other, self.d)
+        if isinstance(other, int):
+            return _elem(other, 0, 1, self.d)
+        if isinstance(other, Fraction):
+            return _elem(other.numerator, 0, other.denominator, self.d)
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuadElem(self.a + other.a, self.b + other.b, self.d)
+        q, r = self.Q, other.Q
+        return _elem(self.A * r + other.A * q, self.B * r + other.B * q, q * r, self.d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadElem":
-        return QuadElem(-self.a, -self.b, self.d)
+        return _elem(-self.A, -self.B, self.Q, self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuadElem(self.a - other.a, self.b - other.b, self.d)
+        q, r = self.Q, other.Q
+        return _elem(self.A * r - other.A * q, self.B * r - other.B * q, q * r, self.d)
 
     def __rsub__(self, other):
         return -self + other
@@ -102,26 +140,27 @@ class QuadElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuadElem(
-            self.a * other.a + self.b * other.b * self.d,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
+        a, b, c, e = self.A, self.B, other.A, other.B
+        return _elem(a * c + b * e * self.d, a * e + b * c, self.Q * other.Q, self.d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "QuadElem":
-        return QuadElem(self.a, -self.b, self.d)
+        return _elem(self.A, -self.B, self.Q, self.d)
 
     def norm(self) -> Fraction:
         """The field norm down to Q: (a + b√d)(a − b√d) = a² − b²·d."""
-        return self.a * self.a - self.b * self.b * self.d
+        return Fraction(self.A * self.A - self.B * self.B * self.d, self.Q * self.Q)
 
     def inverse(self) -> "QuadElem":
-        n = self.norm()
+        # 1/x = Q·(A − B√d) / (A² − B²d), the denominator made positive
+        a, b, q = self.A, self.B, self.Q
+        n = a * a - b * b * self.d
         if n == 0:
             raise ZeroDivisionError("zero element of Q(sqrt(d)) has no inverse")
-        return QuadElem(self.a / n, -self.b / n, self.d)
+        if n < 0:
+            a, b, n = -a, -b, -n
+        return _elem(q * a, -q * b, n, self.d)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -137,7 +176,7 @@ class QuadElem:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QuadElem.from_rational(1, self.d)
+        result = _elem(1, 0, 1, self.d)
         base = self
         e = exponent
         while e:
@@ -148,36 +187,57 @@ class QuadElem:
         return result
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return self.A != 0 or self.B != 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QuadElem):
             if other.d != self.d:
                 # equal only if both are the same rational
-                return self.b == 0 and other.b == 0 and self.a == other.a
-            return self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+                return self.B == 0 and other.B == 0 and self.A == other.A and self.Q == other.Q
+            return self.A == other.A and self.B == other.B and self.Q == other.Q
+        if isinstance(other, int):
+            return self.B == 0 and self.Q == 1 and self.A == other
+        if isinstance(other, Fraction):
+            return self.B == 0 and self.A == other.numerator and self.Q == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.b == 0:
+        if self.B == 0:
             return hash(self.a)  # agree with the embedded rational
         return hash((self.a, self.b, self.d))
 
     def __str__(self) -> str:
         # canonical, re-parseable: "a + b*sqrt(d)" with signs folded in
-        if self.b == 0:
-            return str(self.a)
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
         root = f"sqrt({self.d})"
-        b_part = f"{abs(self.b)}*{root}"
-        if self.a == 0:
-            return b_part if self.b > 0 else f"-{b_part}"
-        sign = "+" if self.b > 0 else "-"
-        return f"{self.a} {sign} {b_part}"
+        b_part = f"{abs(b)}*{root}"
+        if a == 0:
+            return b_part if b > 0 else f"-{b_part}"
+        sign = "+" if b > 0 else "-"
+        return f"{a} {sign} {b_part}"
 
     def __repr__(self) -> str:
         return f"QuadElem({self.a!r}, {self.b!r}, d={self.d})"
+
+
+_new = object.__new__
+_set_a, _set_b, _set_q, _set_d = (getattr(QuadElem, name).__set__ for name in QuadElem.__slots__)
+
+
+def _elem(a: int, b: int, q: int, d: int) -> QuadElem:
+    """(a + b·√d)/q in lowest terms, for q ≥ 1 and a d that an operand
+    already validated: no Fraction and no discriminant check."""
+    g = gcd(a, b, q)
+    if g != 1:
+        a, b, q = a // g, b // g, q // g
+    x = _new(QuadElem)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_q(x, q)
+    _set_d(x, d)
+    return x
 
 
 FieldElement = QuadElem | Fraction

@@ -66,21 +66,28 @@ def _integer_grid_element(w, rng: random.Random, bound: int = 9):
     while True:
         a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
         if a or b:
-            return QuadElem(Fraction(a), Fraction(b), w.d)
+            return QuadElem(a, b, w.d)
+
+
+def _witness_above(w, bound: Fraction, strict: bool):
+    """A g in w's field with w(g) > bound (strict) or ≥ bound (closed); no
+    randomness, so it depends on (w, bound, strict) alone."""
+    target = Fraction(math.floor(bound) + 1) if strict else Fraction(math.ceil(bound))
+    return coerce_to_field(w, value_witness(w, target))
 
 
 def shift_above(w, bound: Fraction, rng: random.Random, strict: bool):
     """A nonzero g·t with w(g·t) > bound (strict) or ≥ bound (closed)."""
-    target = Fraction(math.floor(bound) + 1) if strict else Fraction(math.ceil(bound))
-    g = value_witness(w, target)
-    return coerce_to_field(w, g) * _integer_grid_element(w, rng)
+    return _witness_above(w, bound, strict) * _integer_grid_element(w, rng)
 
 
 def ball_members(ball, rng: random.Random, count: int) -> list:
     """Generated members of the ball (the center plus admissible shifts)."""
     members = [ball.center]
-    for _ in range(count - 1):
-        members.append(ball.center + shift_above(ball.qv, ball.bound, rng, ball.strict))
+    if count > 1:
+        w, center = ball.qv, ball.center
+        g = _witness_above(w, ball.bound, ball.strict)  # one witness per ball
+        members.extend(center + g * _integer_grid_element(w, rng) for _ in range(count - 1))
     return members
 
 

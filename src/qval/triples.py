@@ -1,13 +1,15 @@
 """Integer triples: the one evaluation interface every constructor shares.
 
 An element of Q or Q(√d) is carried as integers x = (A + B·√d)/Q with
-Q ≥ 1, unreduced.  Each constructor evaluates triples in one method,
-``triple_value(a, b, q)``, which returns w(x)·value_denominator as an
-integer, with the sentinel ``INF`` where w(x) = ∞.  The same code runs on
-Python ints (one element, exact at any size) and on numpy integer arrays
-(int64, or dtype=object holding Python ints); the few operations whose
-form differs between the two live in this module.  ``value(x)`` is a thin
-wrapper that builds one ``Value`` at the edge.
+Q ≥ 1, not necessarily reduced: a ``QuadElem`` stores its reduced triple,
+but the sums and products the batch engine forms stay unreduced.  Each
+constructor evaluates triples in one method, ``triple_value(a, b, q)``,
+which returns w(x)·value_denominator as an integer, with the sentinel
+``INF`` where w(x) = ∞.  The same code runs on Python ints (one element,
+exact at any size) and on numpy integer arrays (int64, or dtype=object
+holding Python ints); the few operations whose form differs between the
+two live in this module.  ``value(x)`` is a thin wrapper that builds one
+``Value`` at the edge.
 
 Where a result may be ∞ it is set by a mask computed from the inputs
 (x = 0, or a factor that vanishes), never by comparing a computed value
@@ -15,7 +17,6 @@ against the sentinel, so finite values of any size stay exact.
 """
 
 from fractions import Fraction
-from math import lcm
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -51,8 +52,7 @@ def field_triple(x, d: int | None) -> tuple[int, int, int]:
         x = as_rational(x)
         return x.numerator, 0, x.denominator
     x = as_quad(x, d)
-    q = lcm(x.a.denominator, x.b.denominator)
-    return x.a.numerator * (q // x.a.denominator), x.b.numerator * (q // x.b.denominator), q
+    return x.A, x.B, x.Q
 
 
 def value_at(w, x, **options) -> Value:

@@ -68,6 +68,15 @@ def test_values_beyond_the_sentinel_compare_exactly():
     assert check_axioms(w, [0, 1, 2, 3, 4, -4, Fraction(1, 8)]).passed
 
 
+@pytest.mark.parametrize("inner", [PAdicValuation(2), extensions_of(2, -7)[0]], ids=str)
+def test_a_finite_value_equal_to_the_sentinel_is_finite(inner):
+    # w(2) = 2^40 = INF, yet 2 is not 0: only zero triples are ∞
+    w = Scaled(inner, 2**40)
+    report = check_axioms(w, [2, 3, 1])
+    assert report.passed, report.to_dict()["failures"]
+    assert report.instances == 18
+
+
 def _full_matrix_check(w, samples):
     """The all-pairs check as it was first written: every ordered pair
     (i, j) broadcast into n×n matrices, the upper triangle reported."""

@@ -1,11 +1,15 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qval.errors import DomainError
-from qval.quadratic import QuadElem, as_quad, is_squarefree
+from qval.quadratic import QuadElem, as_quad, is_squarefree, validate_discriminant
 
 DS = (-1, 2, 5, -7)
 
@@ -140,3 +144,244 @@ def test_conjugate():
     x = q("3/4", "5/6", -1)
     assert x.conjugate() == q("3/4", "-5/6", -1)
     assert x * x.conjugate() == x.norm()
+
+
+# ---------------------------------------------------------------------------
+# differential tests: QuadElem against the Fraction-pair class it replaced
+
+
+@dataclass(frozen=True)
+class _FractionPair:
+    """Reference: a + b·√d stored as two Fractions, every result re-wrapped
+    and re-validated (the representation QuadElem had before it stored its
+    reduced integer triple)."""
+
+    a: Fraction
+    b: Fraction
+    d: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", Fraction(self.b))
+        validate_discriminant(self.d)
+
+    def _coerce(self, other):
+        if isinstance(other, _FractionPair):
+            if other.d != self.d:
+                raise DomainError("mismatched d")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return _FractionPair(Fraction(other), Fraction(0), self.d)
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return _FractionPair(self.a + other.a, self.b + other.b, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _FractionPair(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return _FractionPair(self.a - other.a, self.b - other.b, self.d)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        return _FractionPair(
+            self.a * other.a + self.b * other.b * self.d,
+            self.a * other.b + self.b * other.a,
+            self.d,
+        )
+
+    __rmul__ = __mul__
+
+    def conjugate(self):
+        return _FractionPair(self.a, -self.b, self.d)
+
+    def norm(self):
+        return self.a * self.a - self.b * self.b * self.d
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("zero element of Q(sqrt(d)) has no inverse")
+        return _FractionPair(self.a / n, -self.b / n, self.d)
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, exponent):
+        if exponent < 0:
+            return self.inverse() ** (-exponent)
+        result = _FractionPair(Fraction(1), Fraction(0), self.d)
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def __eq__(self, other):
+        if isinstance(other, _FractionPair):
+            if other.d != self.d:
+                return self.b == 0 and other.b == 0 and self.a == other.a
+            return self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        root = f"sqrt({self.d})"
+        b_part = f"{abs(self.b)}*{root}"
+        if self.a == 0:
+            return b_part if self.b > 0 else f"-{b_part}"
+        sign = "+" if self.b > 0 else "-"
+        return f"{self.a} {sign} {b_part}"
+
+    def __repr__(self):
+        return f"QuadElem({self.a!r}, {self.b!r}, d={self.d})"
+
+
+DIFF_DS = (-7, -1, 2, 5)
+BIG = 2**200
+
+big_fractions = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+small_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+diff_coeffs = st.one_of(st.just(Fraction(0)), small_fractions, big_fractions)
+rational_operands = st.one_of(st.integers(-BIG, BIG), diff_coeffs)
+
+
+@st.composite
+def element_pairs(draw, d=None):
+    """(QuadElem, _FractionPair) built from the same coefficients."""
+    if d is None:
+        d = draw(st.sampled_from(DIFF_DS))
+    a = draw(diff_coeffs)
+    b = draw(st.one_of(st.just(Fraction(0)), diff_coeffs))
+    return QuadElem(a, b, d), _FractionPair(a, b, d)
+
+
+def _agree(new, old):
+    """new is old in the stored-triple representation."""
+    assert isinstance(new, QuadElem)
+    assert (new.a, new.b, new.d) == (old.a, old.b, old.d)
+    assert type(new.a) is Fraction and type(new.b) is Fraction
+    assert new.Q >= 1 and gcd(new.A, new.B, new.Q) == 1
+    assert (Fraction(new.A, new.Q), Fraction(new.B, new.Q)) == (new.a, new.b)
+    assert str(new) == str(old) and repr(new) == repr(old)
+    assert hash(new) == hash(old)
+
+
+def _outcome(op, *args):
+    """op(*args), or ZeroDivisionError if that is what it raised."""
+    try:
+        return op(*args)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_arithmetic_matches_the_fraction_pair_class(data):
+    d = data.draw(st.sampled_from(DIFF_DS))
+    x, rx = data.draw(element_pairs(d))
+    y, ry = data.draw(element_pairs(d))
+    r = data.draw(rational_operands)
+    e = data.draw(st.integers(-4, 4))
+    _agree(x, rx)
+    cases = [
+        (lambda u, v: u + v, (x, y), (rx, ry)),
+        (lambda u, v: u - v, (x, y), (rx, ry)),
+        (lambda u, v: u * v, (x, y), (rx, ry)),
+        (lambda u, v: u / v, (x, y), (rx, ry)),
+        (lambda u: u ** e, (x,), (rx,)),
+        (lambda u: -u, (x,), (rx,)),
+        (lambda u: u.conjugate(), (x,), (rx,)),
+        (lambda u: u.inverse(), (x,), (rx,)),
+        # a plain int or Fraction on either side
+        (lambda u: u + r, (x,), (rx,)),
+        (lambda u: r + u, (x,), (rx,)),
+        (lambda u: u - r, (x,), (rx,)),
+        (lambda u: r - u, (x,), (rx,)),
+        (lambda u: u * r, (x,), (rx,)),
+        (lambda u: r * u, (x,), (rx,)),
+        (lambda u: u / r, (x,), (rx,)),
+        (lambda u: r / u, (x,), (rx,)),
+    ]
+    for op, new_args, old_args in cases:
+        new, old = _outcome(op, *new_args), _outcome(op, *old_args)
+        if old is ZeroDivisionError:
+            assert new is ZeroDivisionError
+        else:
+            _agree(new, old)
+    norm = x.norm()
+    assert type(norm) is Fraction and norm == rx.norm()
+    assert bool(x) == bool(rx.a or rx.b)
+
+
+@settings(max_examples=150)
+@given(pair=element_pairs(), other=element_pairs(), r=rational_operands)
+def test_equality_and_hash_match_the_fraction_pair_class(pair, other, r):
+    (x, rx), (y, ry) = pair, other  # y may live in another field
+    assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
+    for n in (r, x.A, x.B, x.Q, Fraction(x.A, x.Q + 1)):  # x.A = 3 with x = 3/2 is no match
+        assert (x == n) == (rx == n) and (n == x) == (n == rx)
+    if x.is_rational:
+        a = x.a
+        assert x == a and a == x and hash(x) == hash(a)
+        if a.denominator == 1:
+            assert x == int(a) and hash(x) == hash(int(a))
+        for d in DIFF_DS:
+            same = QuadElem(a, 0, d)
+            assert same == x and x == same and hash(same) == hash(x)
+            assert (QuadElem(x.A, 0, d) == x) == (x.Q == 1)
+    else:
+        assert x != x.a and x.conjugate() != x
+
+
+@settings(max_examples=40)
+@given(pair=element_pairs())
+def test_elements_are_frozen_and_round_trip(pair):
+    x, _ = pair
+    for name in ("a", "b", "d", "A", "B", "Q", "unknown"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(x, name)
+    copies = [copy.copy(x), copy.deepcopy(x)]
+    copies += [pickle.loads(pickle.dumps(x, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for y in copies:
+        assert type(y) is QuadElem and y == x and hash(y) == hash(x)
+        assert (y.A, y.B, y.Q, y.d) == (x.A, x.B, x.Q, x.d)
+        assert str(y) == str(x) and repr(y) == repr(x)
+
+
+def test_public_constructor_accepts_what_fraction_accepts():
+    assert QuadElem("3/6", 2.5, 5) == QuadElem(Fraction(1, 2), Fraction(5, 2), 5)
+    y = QuadElem("-4/6", "10/4", 2)  # -2/3 + 5/2·√2 = (-4 + 15√2)/6
+    assert (y.A, y.B, y.Q) == (-4, 15, 6)
+    assert QuadElem(a=1, b=2, d=-1) == QuadElem(1, 2, -1)
+    x = QuadElem(0, 0, 5)
+    assert (x.A, x.B, x.Q) == (0, 0, 1) and not x
+    with pytest.raises(DomainError):
+        QuadElem(1, 0, 4)
+    with pytest.raises(ValueError):
+        QuadElem("one", 0, 5)
