@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DomainError, PropertyViolation
+from .errors import DomainError, ParseError, PropertyViolation
+from .exprparse import parse_rational
 from .primes import int_valuation
 from .quadratic import QuadElem, as_quad
 from .quasi import min_extension
@@ -214,8 +215,8 @@ def weak_approx(d: int, targets, qvs=None) -> ApproxSolution:
 def _parse_fraction(text) -> Fraction:
     if isinstance(text, (str, int)):
         try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
+            return parse_rational(str(text))
+        except (ParseError, ValueError):  # ValueError: str() of an int past the limit
             pass
     raise DomainError(f"expected a rational as 'num/den' string, got {text!r}")
 
@@ -232,7 +233,10 @@ def _field(obj, key: str, kind: type = object):
 def load_problem(source) -> tuple[int, list[ApproxTarget]]:
     """Read a problem instance from a JSON file path or a parsed dict."""
     if not isinstance(source, dict):
-        source = json.loads(Path(source).read_text())
+        try:
+            source = json.loads(Path(source).read_text())
+        except ValueError as exc:  # not UTF-8 JSON, or an integer past the int-string limit
+            raise DomainError(str(exc)) from None
     d = _field(source, "d", int)
     targets = []
     for entry in _field(source, "targets", list):

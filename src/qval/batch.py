@@ -23,9 +23,7 @@ take ∞ from masks of zero inputs, never from the sentinel.
 import numpy as np
 
 from .errors import DomainError
-from .triples import QuasiValuation, field_triple
-
-_INT64_LIMIT = 1 << 62
+from .triples import INT64_LIMIT, QuasiValuation, field_triple
 
 
 def _triples(w, elements) -> list[tuple[int, int, int]]:
@@ -37,7 +35,7 @@ def _triples(w, elements) -> list[tuple[int, int, int]]:
 def _array_dtype(w, a: int, b: int, q: int):
     """int64 when triples with |A| ≤ a, |B| ≤ b, Q ≤ q, and every integer
     ``w.triple_value`` forms from them, stay below 2^62; else dtype=object."""
-    return np.int64 if max(a, b, q, w.magnitude_bound(a, b, q)) < _INT64_LIMIT else object
+    return np.int64 if max(a, b, q, w.magnitude_bound(a, b, q)) < INT64_LIMIT else object
 
 
 def gauge_matrix(w, centers, points):
@@ -70,9 +68,7 @@ def pairwise_axiom_check(w, samples):
     n = len(triples)
     if not n:
         return 0, []
-    max_a = max(abs(t[0]) for t in triples)
-    max_b = max(abs(t[1]) for t in triples)
-    max_q = max(t[2] for t in triples)
+    max_a, max_b, max_q = (max(abs(t[i]) for t in triples) for i in range(3))
     # worst-case coordinate magnitudes after one pairwise add / multiply,
     # checked with unbounded ints before anything is narrowed to int64
     d = abs(w.d) if w.d is not None else 0

@@ -10,11 +10,10 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from .approximation import solve_problem_file
 from .errors import DomainError, ParseError, PrecisionExceededError
-from .exprparse import format_element, parse_element
+from .exprparse import format_element, parse_element, parse_rational
 from .lemmas import LEMMA_IDS, run_lemma
 from .quasi import check_axioms
 from .qvspec import GRAMMAR_HELP, parse_qv
@@ -103,11 +102,7 @@ def cmd_eval(args) -> int:
 def cmd_ball(args) -> int:
     qv = parse_qv(args.qv)
     center = parse_element(args.center)
-    try:
-        bound = Fraction(args.bound)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad bound {args.bound!r}") from None
-    ball = Ball(qv, center, bound, strict=not args.closed)
+    ball = Ball(qv, center, parse_rational(args.bound, "bound"), strict=not args.closed)
     rows = []
     for text in args.members:
         element = parse_element(text)
@@ -153,14 +148,11 @@ def cmd_separate(args) -> int:
     m, ball_x, ball_y = separation_witness(qv, x, y)
     rng = random.Random(args.seed)
     report = PropertyReport(lemma="hausdorff-separation", seed=args.seed)
-    for z in ball_members(ball_x, rng, args.samples):
-        report.record()
-        if ball_y.contains(z):
-            report.fail({"z": z}, "balls are disjoint", "z lies in both")
-    for z in ball_members(ball_y, rng, args.samples):
-        report.record()
-        if ball_x.contains(z):
-            report.fail({"z": z}, "balls are disjoint", "z lies in both")
+    for ball, other in ((ball_x, ball_y), (ball_y, ball_x)):
+        for z in ball_members(ball, rng, args.samples):
+            report.record()
+            if other.contains(z):
+                report.fail({"z": z}, "balls are disjoint", "z lies in both")
     if args.format == "table":
         print(f"witness bound m = {m}")
         print(f"  {ball_x}")
@@ -195,7 +187,7 @@ def main(argv=None) -> int:
         if cap is not None:
             token = set_precision_cap(cap)  # for this call only
         return args.handler(args)
-    except (ParseError, DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ParseError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PrecisionExceededError as exc:

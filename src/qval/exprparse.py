@@ -23,8 +23,10 @@ from .errors import DomainError, ParseError
 from .quadratic import QuadElem
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(sqrt)|([+\-*/()])|(\S))")
+_EXPONENT = re.compile(r"[eE]([+-]?[\d_]+)")
 
 MAX_DIGITS = 4000  # below Python's default int-string limit of 4300
+_DIGITS_BOUND = 10**MAX_DIGITS
 MAX_NESTING = 100  # a few interpreter frames per level, far below the recursion limit
 
 
@@ -160,6 +162,21 @@ def parse_element(text: str) -> Fraction | QuadElem:
     if isinstance(value, QuadElem):
         return value
     return Fraction(value)
+
+
+def parse_rational(text: str, what: str = "rational") -> Fraction:
+    """``Fraction(text)`` ('3', '-2/7', '1.5', '2e-3') with at most MAX_DIGITS digits
+    above and below the line, exponents expanded; else ParseError "bad <what> ..."."""
+    exponent = _EXPONENT.search(text)
+    try:
+        if exponent and abs(int(exponent.group(1))) > MAX_DIGITS:
+            raise ValueError
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or max(abs(value.numerator), value.denominator) >= _DIGITS_BOUND:
+        raise ParseError(f"bad {what} {text!r}")
+    return value
 
 
 def format_element(x) -> str:

@@ -171,8 +171,12 @@ def int_valuation(p: int, n: int) -> int:
     """Multiplicity of p in a nonzero integer n."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    return _strip(p, n)[0] if n % p == 0 else 0
+
+
+def _strip(p: int, n: int) -> tuple[int, int]:
+    """(v, n / p^v) with p ∤ n / p^v, by the powers p, p², p⁴, …: O(log v) steps."""
+    if n % p:
+        return 0, n
+    v, m = _strip(p * p, n)
+    return (2 * v + 1, m // p) if m % p == 0 else (2 * v, m)

@@ -15,9 +15,8 @@ Examples: ``vp:2``, ``min[vp:2|vp:3]``, ``min[split1:7,d=2|split2:7,d=2]``,
 ``nadic:12``, ``scaled:1/2,vp:3``.
 """
 
-from fractions import Fraction
-
 from .errors import DomainError, ParseError
+from .exprparse import parse_rational
 from .quasi import MinOf, NAdic, Scaled
 from .valuations import ExtendedValuation, PAdicValuation, SplitKind, classify, extensions_of
 
@@ -87,10 +86,7 @@ def parse_qv(text: str):
             comma = body.find(",")
             if comma < 0:
                 raise ParseError("scaled takes 'FACTOR,SPEC'")
-            try:
-                factor = Fraction(body[:comma])
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad scaling factor {body[:comma]!r}") from None
+            factor = parse_rational(body[:comma], "scaling factor")
             return Scaled(parse_qv(body[comma + 1:]), factor)
     except DomainError as exc:
         raise ParseError(str(exc)) from None

@@ -40,10 +40,6 @@ class PropertyReport:
     def fail(self, inputs: dict, expected: str, got: str) -> None:
         self.failures.append(Failure(inputs, expected, got))
 
-    def merge(self, other: "PropertyReport") -> None:
-        self.instances += other.instances
-        self.failures.extend(other.failures)
-
     def to_dict(self) -> dict:
         return {
             "lemma": self.lemma,

@@ -50,14 +50,6 @@ class Ball:
         object.__setattr__(self, "center", coerce_to_field(self.qv, self.center))
         object.__setattr__(self, "bound", Fraction(self.bound))
 
-    @classmethod
-    def open_ball(cls, qv, center, bound) -> "Ball":
-        return cls(qv, center, bound, strict=True)
-
-    @classmethod
-    def closed_ball(cls, qv, center, bound) -> "Ball":
-        return cls(qv, center, bound, strict=False)
-
     def gauge(self, y) -> Value:
         """w(y − center), the quantity membership compares against."""
         y = coerce_to_field(self.qv, y)

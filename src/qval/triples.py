@@ -26,6 +26,8 @@ from .quadratic import as_quad, as_rational
 from .values import INFINITY, Value
 
 INF = 1 << 40
+# int64 arrays carry only integers below this, so one more sum cannot overflow
+INT64_LIMIT = 1 << 62
 
 
 @runtime_checkable
@@ -76,7 +78,7 @@ def multiplicity(x, p: int):
     flat = x.ravel()
     zero = flat == 0
     v = np.zeros(flat.shape, dtype=x.dtype)
-    at = np.flatnonzero(~zero & (flat % p == 0))
+    at = (~zero & (flat % p == 0)).nonzero()[0]
     cur = flat[at]  # a copy: fancy indexing never returns a view
     while at.size:
         cur //= p
@@ -98,12 +100,19 @@ def clamp_inf(values, mask):
     return INF if mask else values
 
 
-def refine(values, certified, deeper, *coords):
-    """values with each uncertified entry replaced by deeper(*coords) at
-    that entry; arrays pass deeper only those entries, as Python ints."""
+def norm_form(a, b, d: int):
+    """a² − d·b², on Python ints unless |a|² + |d|·|b|² fits int64."""
+    if isinstance(a, np.ndarray) and a.dtype != object and a.size:
+        if int(abs(a).max()) ** 2 + abs(d) * int(abs(b).max()) ** 2 >= INT64_LIMIT:
+            a, b = a.astype(object), b.astype(object)
+    return a * a - d * b * b
+
+
+def patch(values, mask, fn, *coords):
+    """values with fn(*coords) where mask holds (arrays in place; fn sees those entries only)."""
     if not isinstance(values, np.ndarray):
-        return values if certified else deeper(*coords)
-    todo = ~certified
-    if todo.any():
-        values[todo] = deeper(*(c[todo].astype(object) for c in coords))
+        return fn(*coords) if mask else values
+    at = mask.ravel().nonzero()[0]
+    if at.size:
+        values.put(at, fn(*(c.take(at) for c in coords)))
     return values

@@ -9,9 +9,9 @@ A rational prime p behaves in one of three ways in Q(√d):
   also v_p(norm(x)) / 2 (for odd p this equals min(v_p(a), v_p(b)); at
   p = 2 with d ≡ 5 mod 8 only the norm form is multiplicative).
 * **split** — d is a nonzero residue (d ≡ 1 mod 8 when p = 2): there are
-  two extensions, one per square root of d in the p-adic integers.  The
-  roots are computed by Hensel lifting to finite precision, which is raised
-  until the computed valuation is certified exact.
+  two extensions w(A + B·√d) = v_p(A + B·s), one per p-adic root s of d,
+  exact in closed form from a seed of s and the norm (see ``_split_value``);
+  Hensel lifting (``hensel_sqrt``) is kept as a reference only.
 
 Every extension restricts on Q to v_p itself; no rescaling is applied.
 """
@@ -21,15 +21,17 @@ from contextvars import ContextVar, Token
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DomainError, PrecisionExceededError
 from .primes import is_prime, require_prime, sqrt_mod_prime
 from .quadratic import validate_discriminant
-from .triples import INF, clamp_inf, field_triple, multiplicity, refine, value_at
+from .triples import INF, clamp_inf, field_triple, multiplicity, norm_form, patch, value_at
 from .values import Value
 
-# Hensel precision schedule: start here, double on a failed certificate,
-# give up at the cap (configurable; QVAL_PRECISION_CAP / --precision-cap).
-HENSEL_START_PRECISION = 8
+# A policy bound on split values: where a Hensel lift to p^cap could not settle
+# one, PrecisionExceededError.  Caps below 8, where the lift started, act as 8.
+MIN_PRECISION_CAP = 8
 DEFAULT_PRECISION_CAP = 2**16
 
 # per context (thread, task, or contextvars.Context.run), so one caller's
@@ -40,8 +42,8 @@ _precision_cap: ContextVar[int] = ContextVar("precision_cap", default=DEFAULT_PR
 def set_precision_cap(cap: int) -> Token:
     """Set the cap in the current context; ``reset_precision_cap`` with the
     returned token restores the previous one."""
-    if cap < HENSEL_START_PRECISION:
-        raise DomainError(f"precision cap must be at least {HENSEL_START_PRECISION}")
+    if cap < MIN_PRECISION_CAP:
+        raise DomainError(f"precision cap must be at least {MIN_PRECISION_CAP}")
     return _precision_cap.set(cap)
 
 
@@ -140,17 +142,6 @@ def _hensel_sqrt_2(d: int, k: int, seed: int) -> int:
     return s % 2**k
 
 
-def split_root_with_agreement(p: int, d: int, k: int, branch: int) -> int:
-    """A root s with s ≡ (true p-adic root) mod p^k, not just s² ≡ d.
-
-    For odd p the plain lift already agrees to k digits; at p = 2 the
-    bit-by-bit lift trails one digit behind, so one extra digit is taken.
-    """
-    if p == 2:
-        return hensel_sqrt(p, d, k + 1, branch) % 2**k
-    return hensel_sqrt(p, d, k, branch)
-
-
 @dataclass(frozen=True)
 class PAdicValuation:
     """v_p on Q: the exponent of p, with v_p(0) = ∞.  Value group Z."""
@@ -212,12 +203,6 @@ class ExtendedValuation:
             raise DomainError(f"{self.kind.value} extensions have no branches")
 
     @property
-    def hensel_seed(self) -> int | None:
-        if self.kind is not SplitKind.SPLIT:
-            return None
-        return _split_seeds(self.p, self.d)[self.branch - 1]
-
-    @property
     def extended_prime(self) -> int:
         return self.p
 
@@ -240,7 +225,7 @@ class ExtendedValuation:
     def triple_value(self, a, b, q, precision_cap: int | None = None):
         if self.kind is SplitKind.SPLIT:
             cap = _precision_cap.get() if precision_cap is None else precision_cap
-            return self._certified_split_value(a, b, q, HENSEL_START_PRECISION, cap)
+            return self._split_value(a, b, q, cap)
         # inert and ramified: v_p of the norm, halved.  Exactness: the norm
         # is multiplicative and nonzero off 0, and for inert primes its
         # valuation is always even.
@@ -250,35 +235,47 @@ class ExtendedValuation:
 
     def magnitude_bound(self, a: int, b: int, q: int) -> int:
         if self.kind is SplitKind.SPLIT:
-            # deeper precisions run on Python ints; see _certified_split_value
-            return max(a + b * self.p ** (HENSEL_START_PRECISION + 1), INF)
+            # A + B·seed, seed < p² (p = 2 too); the norm is sized apart, in norm_form
+            return max(a + b * self.p**2, INF)
         return max(a * a + b * b * abs(self.d), INF)
 
-    def _certified_split_value(self, a, b, q, k: int, cap: int):
-        """The split value from precision k on, doubling it (up to cap) for
-        the entries whose certificate does not fire."""
-        value, certified = self.split_value_at_precision((a, b, q), k)
+    def _split_value(self, a, b, q, cap: int):
+        """v_p(A + B·s) − v_p(Q), exactly, for the branch's p-adic root s of d.
 
-        def deeper(a, b, q):
-            if k >= cap:
+        The seed agrees with s to 1 + e digits (e = 1 at p = 2, else 0), so
+        v_p(A + B·seed) = v_p(A + B·s) where it is below v_p(B) + 1 + e.
+        Elsewhere A + B·s outruns 2B·s, so v_p(A − B·s) = v_p(B) + e and the
+        norm gives v_p(A + B·s) = v_p(A² − d·B²) − v_p(B) − e.
+        """
+        p, e = self.p, int(self.p == 2)
+
+        def past_one_digit(a, b, vt):  # v_p(B) ≥ 0, so only these can fail the seed test
+            vb = multiplicity(b, p)
+            v = patch(vt, vt > vb + e,
+                      lambda a, b, vb: multiplicity(norm_form(a, b, self.d), p) - vb - e, a, b, vb)
+            # a Hensel lift to p^k settles v exactly when v − v_p(B) < k
+            if np.any(v - vb >= max(cap, MIN_PRECISION_CAP)):
                 raise PrecisionExceededError(
                     f"a valuation under {self} was not certified within precision {cap}", cap
                 )
-            return self._certified_split_value(a, b, q, min(2 * k, cap), cap)
+            return v
 
-        return refine(value, certified, deeper, a, b, q)
+        vt = multiplicity(a + b * _split_seeds(p, self.d)[self.branch - 1], p)
+        v = patch(vt, vt > e, past_one_digit, a, b, vt)
+        return clamp_inf(v - multiplicity(q, p), (a == 0) & (b == 0))
 
     def split_value_at_precision(self, x, k: int):
         """Evaluate at fixed Hensel precision k, with the stability certificate.
 
-        x is a field element or an integer triple (A, B, Q) of ints or
-        arrays.  Returns (value, certified), the value as in
-        ``triple_value`` (INF where A + B·s vanishes).  The approximation
-        error of the root s is divisible by p^k, so the computed valuation
+        A reference; ``triple_value`` does not call it.  x is a field
+        element or an integer triple (A, B, Q) of ints or arrays.  Returns
+        (value, certified), the value as in ``triple_value``.  The root s
+        agrees with the p-adic one to k digits, so the computed valuation
         of A + B·s is exact as soon as it falls below v_p(B) + k.
         """
         a, b, q = x if isinstance(x, tuple) else field_triple(x, self.d)
-        s = split_root_with_agreement(self.p, self.d, k, self.branch)
+        # at p = 2 the bit-by-bit lift trails one digit behind: take one more
+        s = hensel_sqrt(self.p, self.d, k + int(self.p == 2), self.branch) % self.p**k
         t = a + b * s
         vt = multiplicity(t, self.p)
         certified = (b == 0) | (vt < multiplicity(b, self.p) + k)
@@ -294,12 +291,8 @@ class ExtendedValuation:
 def extensions_of(p: int, d: int) -> tuple[ExtendedValuation, ...]:
     """All extensions of v_p to Q(√d): one for inert/ramified, two for split."""
     kind = classify(p, d)
-    if kind is SplitKind.SPLIT:
-        return (
-            ExtendedValuation(p, d, kind, branch=1),
-            ExtendedValuation(p, d, kind, branch=2),
-        )
-    return (ExtendedValuation(p, d, kind),)
+    branches = (1, 2) if kind is SplitKind.SPLIT else (0,)
+    return tuple(ExtendedValuation(p, d, kind, branch) for branch in branches)
 
 
 def primes_by_kind(d: int, kind: SplitKind, count: int = 1, start: int = 2) -> list[int]:

@@ -8,6 +8,7 @@ import pytest
 
 import qval.batch as batch
 from qval.errors import DomainError
+from qval.quadratic import QuadElem
 from qval.quasi import MinOf, NAdic, Scaled, check_axioms, min_extension
 from qval.sampling import elements_for
 from qval.triples import INF, field_triple
@@ -194,3 +195,26 @@ def test_triangle_check_sizes_zero_and_one():
     # and the ultrametric inequality; w(x) = w(x), so no equality case
     assert batch.pairwise_axiom_check(w, [Fraction(3, 4)]) == (3, [])
     assert batch.pairwise_axiom_check(_FlippedAtFour(w), [4]) == (3, [("negation", 0, 0)])
+
+
+@pytest.mark.parametrize("p, d", [(5, -1), (7, 2), (11, 5), (2, -7)])
+def test_split_constructors_take_int64_on_wide_inputs(monkeypatch, p, d):
+    # coordinates up to 10^4 over denominators up to 12, the extremes pinned:
+    # |A|, |B| up to 12·10^4 and Q up to 132 in the sample triples
+    n = 10**4
+    samples = [QuadElem(0, 0, d), QuadElem(1, 0, d), QuadElem(0, 1, d),
+               QuadElem(n, Fraction(1, 12), d), QuadElem(Fraction(1, 12), n, d),
+               QuadElem(Fraction(n, 11), Fraction(-n, 12), d),
+               QuadElem(Fraction(-n, 12), Fraction(n, 11), d)]
+    chosen = []
+
+    def recording(*args):
+        chosen.append(choose(*args))
+        return chosen[-1]
+
+    choose = batch._array_dtype
+    monkeypatch.setattr(batch, "_array_dtype", recording)
+    for w in (*extensions_of(p, d), min_extension(p, d)):
+        batch.pairwise_axiom_check(w, samples)
+    assert chosen == [np.int64] * 3
+

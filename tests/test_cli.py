@@ -142,6 +142,34 @@ def test_malformed_problem_file_exits_two(capsys, tmp_path, problem):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_problem_file_with_a_huge_integer_exits_two(capsys, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text('{"d": 2, "targets": [{"p": 3, "x": {"a": "1", "b": "0"}, "m": '
+                    + "7" * 5000 + "}]}")
+    code, out, err = run(capsys, "approx", "--problem", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--qv", "scaled:1e5000,vp:2", "4"),
+    ("eval", "--qv", "scaled:1e-5000,vp:2", "4"),
+    ("ball", "--qv", "vp:2", "--center", "0", "--bound=1e-5000", "2"),
+    ("ball", "--qv", "vp:2", "--center", "0", "--bound=1e5000", "2"),
+    ("ball", "--qv", "vp:2", "--center", "0", "--bound=1e1_000_000_000", "2"),
+])
+def test_rationals_past_the_digit_limit_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: bad ") and err.count("\n") == 1
+
+
+def test_rationals_in_exponent_notation_still_read(capsys):
+    assert run(capsys, "eval", "--qv", "scaled:1e3,vp:2", "4")[1] == "w(4) = 2000\n"
+    code, out, _ = run(capsys, "ball", "--qv", "vp:2", "--center", "0", "--bound=25e-1", "8")
+    assert code == 0 and out.startswith("ball: ") and "5/2" in out
+
+
 def _deep_split_element():
     # a - sqrt(2) with a ≡ sqrt(2) mod 7^12: precision 8 cannot certify it
     return f"{hensel_sqrt(7, 2, 12, 1)} - 1*sqrt(2)"

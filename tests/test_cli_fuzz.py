@@ -6,7 +6,8 @@ arguments, so that the evaluation code behind the parsers runs; the other
 mixes in malformed values and junk tokens.  Every generated number stays
 well below the factorization bound and the parser's digit limit, so no
 input is slow by design: an input that runs past the deadline is a hang,
-not a big instance.
+not a big instance.  The junk tokens "1e5000" and "1e-5000" are the
+exception, kept to check that the digit limit also holds for exponents.
 """
 
 import contextlib
@@ -29,7 +30,8 @@ NOT_PRIMES = (-3, 0, 1, 4, 9, 15)
 DS = (-7, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 13)
 NOT_DS = (0, 1, 4, -4, 12, 18)
 JUNK = ("", " ", "-", "--", "--qv", "--closed", "x", "sqrt", "()", "[", "|", ",", "d=",
-        "1/0", "0/0", "3.5", "1e3", "nan", "inf", "--samples", "-1", "é", "min[]")
+        "1/0", "0/0", "3.5", "1e3", "nan", "inf", "--samples", "-1", "é", "min[]",
+        "1e5000", "1e-5000")
 
 junk = st.sampled_from(JUNK)
 any_primes = st.sampled_from(PRIMES + NOT_PRIMES)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qval.errors import ParseError
-from qval.exprparse import MAX_DIGITS, MAX_NESTING, format_element, parse_element
+from qval.exprparse import MAX_DIGITS, MAX_NESTING, format_element, parse_element, parse_rational
 from qval.quadratic import QuadElem
 
 
@@ -79,6 +79,21 @@ def test_size_limits():
     with pytest.raises(ParseError, match="nest"):
         parse_element("(" * 3000 + "1" + ")" * 3000)
     assert parse_element("-" * 3001 + "2") == -2
+
+
+def test_parse_rational():
+    assert parse_rational("3") == 3
+    assert parse_rational(" -2/7 ") == Fraction(-2, 7)
+    assert parse_rational("1.5") == Fraction(3, 2)
+    assert parse_rational("25e-3") == Fraction(1, 40)
+    assert parse_rational("1e3") == 1000
+    assert parse_rational("9" * MAX_DIGITS) == int("9" * MAX_DIGITS)
+    assert parse_rational(f"1e{MAX_DIGITS - 1}") == 10 ** (MAX_DIGITS - 1)
+    for text in ("x", "", "1/x", "nan", "inf", "1" * 5001, "1e5000", "1e-5000",
+                 f"1e{MAX_DIGITS}", f"1e-{MAX_DIGITS}", "0." + "1" * MAX_DIGITS,
+                 "1e1_000_000_000", "1e" + "9" * 5000, "1/0"):
+        with pytest.raises(ParseError, match="^bad bound "):
+            parse_rational(text, "bound")
 
 
 coeffs = st.fractions(min_value=-99, max_value=99, max_denominator=30)

@@ -1,12 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qval.errors import DomainError, PrecisionExceededError
 from qval import valuations
+from qval.primes import int_valuation
 from qval.quadratic import QuadElem, is_squarefree
 from qval.sampling import quad_elements
+from qval.triples import clamp_inf, multiplicity
 from qval.valuations import (
     ExtendedValuation,
     PAdicValuation,
@@ -275,5 +280,132 @@ def test_hensel_caches_are_bounded():
     split = [d for d in fields if classify(7, d) is SplitKind.SPLIT][:max(bounds) + 10]
     for d in split:  # one seed pair and one root per (7, d, 8, branch 1)
         assert extensions_of(7, d)[0].value(QuadElem(1, 1, d)) == Value(0)
+        assert hensel_sqrt(7, d, 8, 1) ** 2 % 7**8 == d % 7**8
     for cache, bound in zip(caches, bounds):
         assert cache.cache_info().currsize <= bound
+
+
+# ---------------------------------------------------------------------------
+# The Hensel route that evaluated split values before the closed form, kept
+# here as the reference for it: evaluate with the root lifted to precision
+# k = 8, and re-evaluate the entries whose certificate does not fire at
+# twice the precision, on Python ints, until the cap.
+
+def _hensel_root(p, d, k, branch):
+    """A root agreeing with the p-adic root to k digits; at p = 2 the
+    bit-by-bit lift trails one digit behind."""
+    if p == 2:
+        return hensel_sqrt(p, d, k + 1, branch) % 2**k
+    return hensel_sqrt(p, d, k, branch)
+
+
+def _refine(values, certified, deeper, *coords):
+    if not isinstance(values, np.ndarray):
+        return values if certified else deeper(*coords)
+    todo = ~certified
+    if todo.any():
+        values[todo] = deeper(*(c[todo].astype(object) for c in coords))
+    return values
+
+
+def _hensel_value(u, a, b, q, cap, k=8):
+    t = a + b * _hensel_root(u.p, u.d, k, u.branch)
+    vt = multiplicity(t, u.p)
+    certified = (b == 0) | (vt < multiplicity(b, u.p) + k)
+    value = clamp_inf(vt - multiplicity(q, u.p), t == 0)
+
+    def deeper(a, b, q):
+        if k >= cap:
+            raise PrecisionExceededError(
+                f"a valuation under {u} was not certified within precision {cap}", cap
+            )
+        return _hensel_value(u, a, b, q, cap, min(2 * k, cap))
+
+    return _refine(value, certified, deeper, a, b, q)
+
+
+def _outcome(evaluate):
+    try:
+        result = evaluate()
+    except PrecisionExceededError as exc:
+        return ("raised", str(exc), exc.cap)
+    return result.tolist() if isinstance(result, np.ndarray) else result
+
+
+SPLIT_FIELDS = [(p, d) for d in (-7, -1, 2, 5, 17, -15, 33) for p in (2, 3, 5, 7, 11, 13)
+                if classify(p, d) is SplitKind.SPLIT]
+
+
+@st.composite
+def split_triples(draw, p, d, branch):
+    """(A, B, Q): plain, or A = −B·s + p^k·u with s the branch's root, so
+    that A + B·s is divisible far past the digits of B."""
+    q = draw(st.integers(1, 50)) * p ** draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        a, b = draw(st.integers(-2**70, 2**70)), draw(st.integers(-2**70, 2**70))
+        if a == b == 0:
+            a = 1
+        return a, b, q
+    k = draw(st.integers(1, 80))
+    b = draw(st.sampled_from((1, -1))) * draw(st.integers(1, 60)) * p ** draw(st.integers(0, 5))
+    s = hensel_sqrt(p, d, k + 2 + int(p == 2), branch)
+    return -b * s + p**k * draw(st.integers(-20, 20)), b, q
+
+
+@st.composite
+def split_cases(draw):
+    p, d = draw(st.sampled_from(SPLIT_FIELDS))
+    branch = draw(st.sampled_from((1, 2)))
+    triples = draw(st.lists(split_triples(p, d, branch), min_size=1, max_size=8))
+    # a cap below 8 acts as 8: the lift started at precision 8
+    return ExtendedValuation(p, d, SplitKind.SPLIT, branch), triples, draw(st.sampled_from(
+        (4, 8, 16, 64, 100)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_cases())
+def test_closed_form_split_value_agrees_with_hensel_lifting(case):
+    u, triples, cap = case
+    expected = [_outcome(lambda t=t: _hensel_value(u, *t, cap)) for t in triples]
+    for t, want in zip(triples, expected):
+        assert _outcome(lambda: u.triple_value(*t, precision_cap=cap)) == want, (u, t, cap)
+    raised = [e for e in expected if isinstance(e, tuple)]
+    want = raised[0] if raised else expected
+    # arrays raise when any entry would; int64 wherever the magnitude gate allows it
+    bound = u.magnitude_bound(*(max(abs(t[i]) for t in triples) for i in range(3)))
+    dtypes = (np.int64, object) if bound < 1 << 62 else (object,)
+    for dtype in dtypes:
+        for shape in ((len(triples),), (len(triples), 1), (1, len(triples))):
+            a, b, q = (np.array(c, dtype=dtype).reshape(shape) for c in zip(*triples))
+            got = _outcome(lambda: u.triple_value(a, b, q, precision_cap=cap))
+            if not raised:
+                got = np.array(got, dtype=object).ravel().tolist()
+            assert got == want, (u, triples, cap, dtype, shape)
+    a, b, q = (np.array(c, dtype=object) for c in zip(*triples))
+    assert _outcome(lambda: _hensel_value(u, a, b, q, cap)) == want
+
+
+def test_closed_form_on_int64_arrays_with_deep_entries():
+    # A ≡ −s mod 7^k fails the seed test; its norm fits int64 for k ≤ 4
+    # and needs Python ints for k ≥ 12
+    for branch in (1, 2):
+        u = extensions_of(7, 2)[branch - 1]
+        s = hensel_sqrt(7, 2, 22, branch)
+        for depths in ((2, 3, 4), (4, 12, 20)):
+            triples = [(-s % 7**k, 1, 7) for k in depths] + [(3, 1, 1), (0, 0, 1), (5, 0, 49)]
+            a, b, q = (np.array(c, dtype=np.int64) for c in zip(*triples))
+            values = u.triple_value(a, b, q, precision_cap=64)
+            assert values.dtype == np.int64
+            assert values.tolist() == [_hensel_value(u, *t, 64) for t in triples]
+            assert all(v >= k - 1 for v, k in zip(values.tolist(), depths))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 7, 101)), st.integers(0, 5000), st.integers(-10**6, 10**6))
+def test_int_valuation_matches_unit_steps(p, v, unit):
+    n = (unit or 1) * p**v
+    expected, m = 0, n
+    while m % p == 0:
+        m //= p
+        expected += 1
+    assert int_valuation(p, n) == expected
