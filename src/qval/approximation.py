@@ -11,6 +11,8 @@ integer y with
 is found by the Chinese Remainder construction, and x = y/D: dividing by D
 shifts the i-th valuation down by exactly v_{p_i}(D), which the lifted
 exponent accounts for.  Nonpositive lifted exponents impose no congruence.
+Problems whose CRT modulus or D would exceed ``MAX_DIGITS`` decimal digits
+are refused before anything is solved, so every solution can be printed.
 
 ``weak_approx`` lifts this to Q(√d): targets are expanded over the basis
 {1, √d} of the intersection ring, each coordinate is approximated
@@ -27,11 +29,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import DomainError, ParseError, PropertyViolation
-from .exprparse import parse_rational
+from .exprparse import MAX_DIGITS, parse_rational
 from .primes import int_valuation
 from .quadratic import QuadElem, as_quad
 from .quasi import min_extension
-from .valuations import require_prime, v_p
+from .valuations import require_prime
 from .values import Value
 
 FieldTarget = QuadElem | Fraction
@@ -120,10 +122,15 @@ def rational_approx(targets) -> Fraction:
         return targets[0][1]
 
     den = math.lcm(*(x.denominator for _, x, _ in targets))
+    lifts = [(p, x, a + int_valuation(p, den)) for p, x, a in targets]
+    # log10 of the CRT modulus, without forming it
+    modulus_digits = sum(lifted * math.log10(p) for p, _, lifted in lifts if lifted > 0)
+    if modulus_digits > MAX_DIGITS or den >= 10**MAX_DIGITS:
+        raise DomainError(f"the solution would need more than {MAX_DIGITS} digits; "
+                          "lower the bounds or simplify the targets")
     residues: list[int] = []
     moduli: list[int] = []
-    for p, x, a in targets:
-        lifted = a + int_valuation(p, den)
+    for p, x, lifted in lifts:
         if lifted <= 0:
             continue
         scaled = x * den  # integral: den clears every target denominator

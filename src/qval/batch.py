@@ -10,7 +10,8 @@ with the upper triangle, and the constructor's own ``triple_value``
 evaluates each array in one call.  The ball gauges w(y − c) that the
 topology checks compare against bounds are formed the same way: one
 difference triple per (center, point), all of them evaluated once, as an
-integer matrix.
+integer matrix.  Both take only subclasses of ``QuasiValuation`` and
+refuse anything else with ``DomainError``.
 
 The arithmetic stays exact.  A worst-case magnitude check with unbounded
 Python ints, which takes the constructor's ``magnitude_bound`` into
@@ -28,7 +29,7 @@ from .triples import INT64_LIMIT, QuasiValuation, field_triple
 
 def _triples(w, elements) -> list[tuple[int, int, int]]:
     if not isinstance(w, QuasiValuation):
-        raise DomainError(f"{w!r} does not implement the QuasiValuation protocol")
+        raise DomainError(f"{w!r} is not a QuasiValuation subclass instance")
     return [field_triple(x, w.d) for x in elements]
 
 

@@ -240,9 +240,6 @@ def _elem(a: int, b: int, q: int, d: int) -> QuadElem:
     return x
 
 
-FieldElement = QuadElem | Fraction
-
-
 def as_quad(x, d: int) -> QuadElem:
     """Coerce a rational or a matching QuadElem into Q(√d)."""
     if isinstance(x, QuadElem):

@@ -9,12 +9,12 @@ A quasi-valuation w maps a field into Q ∪ {∞} with
 weakening the multiplicative equality of a valuation into superadditivity.
 Three constructors are provided: the pointwise minimum of finitely many
 valuations on the same field, the n-adic function on Q for composite n,
-and positive rational rescaling.  Valuations themselves (``PAdicValuation``,
-``ExtendedValuation``) satisfy the same ``QuasiValuation`` protocol and can
-be used anywhere a quasi-valuation is expected.  Each constructor
-evaluates integer triples in its ``triple_value`` (see ``triples``); the
-axiom harness runs that method on arrays of every sample, pairwise sum and
-product (see ``batch``).
+and positive rational rescaling.  These and the valuations themselves
+(``PAdicValuation``, ``ExtendedValuation``) all subclass ``QuasiValuation``,
+so any of them can be used wherever a quasi-valuation is expected.  Each
+constructor evaluates integer triples in its ``triple_value`` and inherits
+``value`` (see ``triples``); the axiom harness runs ``triple_value`` on
+arrays of every sample, pairwise sum and product (see ``batch``).
 """
 
 import math
@@ -22,11 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
+from . import batch
 from .errors import DomainError, PropertyViolation
 from .primes import factorize, is_prime
 from .quadratic import as_quad, as_rational
 from .report import PropertyReport
-from .triples import INF, clamp_inf, minimum, multiplicity, value_at
+from .triples import QuasiValuation, clamp_inf, minimum, multiplicity
 from .valuations import ExtendedValuation, PAdicValuation, extensions_of
 from .values import Value
 
@@ -34,7 +35,7 @@ Valuation = PAdicValuation | ExtendedValuation
 
 
 @dataclass(frozen=True)
-class MinOf:
+class MinOf(QuasiValuation):
     """The pointwise minimum of valuations over one common field.
 
     When every member extends the same v_p the result is a quasi-valuation
@@ -72,9 +73,6 @@ class MinOf:
     def value_denominator(self) -> int:
         return reduce(math.lcm, (m.value_denominator for m in self.members))
 
-    def value(self, x) -> Value:
-        return value_at(self, x)
-
     def triple_value(self, a, b, q):
         scale = self.value_denominator
         parts = (m.triple_value(a, b, q) * (scale // m.value_denominator) for m in self.members)
@@ -90,7 +88,7 @@ class MinOf:
 
 
 @dataclass(frozen=True)
-class NAdic:
+class NAdic(QuasiValuation):
     """The n-adic quasi-valuation on Q for an integer n ≥ 2.
 
     For prime n this is v_n; for composite n it is a proper
@@ -113,26 +111,16 @@ class NAdic:
     def base_primes(self) -> frozenset[int]:
         return frozenset(p for p, _ in factorize(self.n))
 
-    @property
-    def value_denominator(self) -> int:
-        return 1
-
-    def value(self, x) -> Value:
-        return value_at(self, x)
-
     def triple_value(self, a, b, q):
         parts = ((multiplicity(a, p) - multiplicity(q, p)) // c for p, c in factorize(self.n))
         return clamp_inf(reduce(minimum, parts), a == 0)
-
-    def magnitude_bound(self, a: int, b: int, q: int) -> int:
-        return INF
 
     def __str__(self) -> str:
         return f"nadic:{self.n}"
 
 
 @dataclass(frozen=True)
-class Scaled:
+class Scaled(QuasiValuation):
     """w'(x) = factor · w(x) for a positive rational factor.
 
     Rescaling preserves the axioms and the ring {w ≥ 0}, but for
@@ -164,9 +152,6 @@ class Scaled:
     @property
     def value_denominator(self) -> int:
         return self.inner.value_denominator * self.factor.denominator
-
-    def value(self, x) -> Value:
-        return value_at(self, x)
 
     def triple_value(self, a, b, q):
         inner = self.inner.triple_value(a, b, q)
@@ -262,8 +247,6 @@ def check_axioms(w, samples, seed: int | None = None) -> PropertyReport:
     if not zero_value.is_infinite:
         report.fail({"x": "0"}, "w(0) = inf", str(zero_value))
 
-    from . import batch  # deferred: numpy is only needed once the harness runs
-
     checked, violations = batch.pairwise_axiom_check(w, samples)
     report.record(checked)
     for kind, i, j in violations:
@@ -291,11 +274,6 @@ def _record_pair_failure(report: PropertyReport, w, samples, kind: str, i: int, 
         )
 
 
-def is_stable(w, c, samples) -> bool:
-    """True iff w(c·x) = w(c) + w(x) for every sample x."""
-    return instability_witness(w, c, samples) is None
-
-
 def instability_witness(w, c, samples):
     """The first sample x with w(c·x) ≠ w(c) + w(x), or None."""
     c = coerce_to_field(w, c)
@@ -318,7 +296,7 @@ class QVRing:
     qv: object
 
     def contains(self, x) -> bool:
-        return w_at_least(self.qv, x, 0)
+        return self.qv.value(coerce_to_field(self.qv, x)) >= 0
 
     def __str__(self) -> str:
         return f"ring[{self.qv}]"
@@ -328,10 +306,6 @@ def ring_member(ring, x) -> bool:
     if isinstance(ring, QVRing):
         return ring.contains(x)
     return QVRing(ring).contains(x)
-
-
-def w_at_least(w, x, threshold) -> bool:
-    return w.value(coerce_to_field(w, x)) >= Fraction(threshold)
 
 
 def value_bound(w, x) -> int:

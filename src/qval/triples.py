@@ -2,14 +2,14 @@
 
 An element of Q or Q(√d) is carried as integers x = (A + B·√d)/Q with
 Q ≥ 1, not necessarily reduced: a ``QuadElem`` stores its reduced triple,
-but the sums and products the batch engine forms stay unreduced.  Each
-constructor evaluates triples in one method, ``triple_value(a, b, q)``,
-which returns w(x)·value_denominator as an integer, with the sentinel
-``INF`` where w(x) = ∞.  The same code runs on Python ints (one element,
-exact at any size) and on numpy integer arrays (int64, or dtype=object
-holding Python ints); the few operations whose form differs between the
-two live in this module.  ``value(x)`` is a thin wrapper that builds one
-``Value`` at the edge.
+but the sums and products the batch engine forms stay unreduced.  Every
+constructor subclasses ``QuasiValuation`` and evaluates triples in one
+method, ``triple_value(a, b, q)``, which returns w(x)·value_denominator as
+an integer, with the sentinel ``INF`` where w(x) = ∞.  The same code runs
+on Python ints (one element, exact at any size) and on numpy integer
+arrays (int64, or dtype=object holding Python ints); the few operations
+whose form differs between the two live in this module.  The base class
+derives ``value(x)``, which builds one ``Value`` at the edge.
 
 Where a result may be ∞ it is set by a mask computed from the inputs
 (x = 0, or a factor that vanishes), never by comparing a computed value
@@ -17,7 +17,6 @@ against the sentinel, so finite values of any size stay exact.
 """
 
 from fractions import Fraction
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -30,24 +29,6 @@ INF = 1 << 40
 INT64_LIMIT = 1 << 62
 
 
-@runtime_checkable
-class QuasiValuation(Protocol):
-    """The evaluation interface of every constructor, valuations included."""
-
-    d: int | None  # None for Q, else the field is Q(√d)
-    value_denominator: int  # every value times this is an integer
-
-    def value(self, x) -> Value:
-        """w(x) for one field element."""
-
-    def triple_value(self, a, b, q):
-        """w((a + b·√d)/q)·value_denominator on ints or same-shape arrays, INF for ∞."""
-
-    def magnitude_bound(self, a: int, b: int, q: int) -> int:
-        """A bound on every integer triple_value forms, the sentinel and its
-        multiples included, for inputs with |A| ≤ a, |B| ≤ b, Q ≤ q."""
-
-
 def field_triple(x, d: int | None) -> tuple[int, int, int]:
     """x as an integer triple over Q (d is None) or over Q(√d)."""
     if d is None:
@@ -57,12 +38,33 @@ def field_triple(x, d: int | None) -> tuple[int, int, int]:
     return x.A, x.B, x.Q
 
 
-def value_at(w, x, **options) -> Value:
-    """w(x) as a Value: x = 0 is ∞, anything else goes through triple_value."""
-    a, b, q = field_triple(x, w.d)
-    if a == 0 and b == 0:
-        return INFINITY
-    return Value(Fraction(w.triple_value(a, b, q, **options), w.value_denominator))
+class QuasiValuation:
+    """The base of every constructor, valuations included.
+
+    A subclass provides ``d`` (None for Q, else the field is Q(√d)) and
+    ``triple_value``; it overrides ``value_denominator`` where its values
+    are not all integers and ``magnitude_bound`` where it forms integers
+    above INF.  No field a dataclass subclass declares is given a default
+    here: dataclasses read defaults through the class hierarchy.
+    """
+
+    value_denominator = 1  # every value times this is an integer
+
+    def triple_value(self, a, b, q):
+        """w((a + b·√d)/q)·value_denominator on ints or same-shape arrays, INF for ∞."""
+        raise NotImplementedError
+
+    def magnitude_bound(self, a: int, b: int, q: int) -> int:
+        """A bound on every integer triple_value forms, the sentinel and its
+        multiples included, for inputs with |A| ≤ a, |B| ≤ b, Q ≤ q."""
+        return INF
+
+    def value(self, x) -> Value:
+        """w(x) as a Value: x = 0 is ∞, anything else goes through triple_value."""
+        a, b, q = field_triple(x, self.d)
+        if a == 0 and b == 0:
+            return INFINITY
+        return Value(Fraction(self.triple_value(a, b, q), self.value_denominator))
 
 
 def multiplicity(x, p: int):

@@ -18,7 +18,7 @@ Every extension restricts on Q to v_p itself; no rescaling is applied.
 
 import enum
 from contextvars import ContextVar, Token
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,11 +26,11 @@ import numpy as np
 from .errors import DomainError, PrecisionExceededError
 from .primes import is_prime, require_prime, sqrt_mod_prime
 from .quadratic import validate_discriminant
-from .triples import INF, clamp_inf, field_triple, multiplicity, norm_form, patch, value_at
+from .triples import INF, QuasiValuation, clamp_inf, field_triple, multiplicity, norm_form, patch
 from .values import Value
 
 # A policy bound on split values: where a Hensel lift to p^cap could not settle
-# one, PrecisionExceededError.  Caps below 8, where the lift started, act as 8.
+# one, PrecisionExceededError.  Caps below 8, where the lift started, are refused.
 MIN_PRECISION_CAP = 8
 DEFAULT_PRECISION_CAP = 2**16
 
@@ -143,11 +143,11 @@ def _hensel_sqrt_2(d: int, k: int, seed: int) -> int:
 
 
 @dataclass(frozen=True)
-class PAdicValuation:
+class PAdicValuation(QuasiValuation):
     """v_p on Q: the exponent of p, with v_p(0) = ∞.  Value group Z."""
 
     p: int
-    d: None = field(default=None, init=False, repr=False)
+    d = None
 
     def __post_init__(self):
         require_prime(self.p)
@@ -160,25 +160,15 @@ class PAdicValuation:
     def base_primes(self) -> frozenset[int]:
         return frozenset((self.p,))
 
-    @property
-    def value_denominator(self) -> int:
-        return 1
-
-    def value(self, x) -> Value:
-        return value_at(self, x)
-
     def triple_value(self, a, b, q):
         return clamp_inf(multiplicity(a, self.p) - multiplicity(q, self.p), a == 0)
-
-    def magnitude_bound(self, a: int, b: int, q: int) -> int:
-        return INF
 
     def __str__(self) -> str:
         return f"vp:{self.p}"
 
 
 @dataclass(frozen=True)
-class ExtendedValuation:
+class ExtendedValuation(QuasiValuation):
     """The extension of v_p to Q(√d) determined by the splitting behavior.
 
     ``branch`` selects between the two split-case extensions (which agree
@@ -219,13 +209,9 @@ class ExtendedValuation:
             return self
         return ExtendedValuation(self.p, self.d, self.kind, 3 - self.branch)
 
-    def value(self, x, precision_cap: int | None = None) -> Value:
-        return value_at(self, x, precision_cap=precision_cap)
-
-    def triple_value(self, a, b, q, precision_cap: int | None = None):
+    def triple_value(self, a, b, q):
         if self.kind is SplitKind.SPLIT:
-            cap = _precision_cap.get() if precision_cap is None else precision_cap
-            return self._split_value(a, b, q, cap)
+            return self._split_value(a, b, q, _precision_cap.get())
         # inert and ramified: v_p of the norm, halved.  Exactness: the norm
         # is multiplicative and nonzero off 0, and for inert primes its
         # valuation is always even.
@@ -254,7 +240,7 @@ class ExtendedValuation:
             v = patch(vt, vt > vb + e,
                       lambda a, b, vb: multiplicity(norm_form(a, b, self.d), p) - vb - e, a, b, vb)
             # a Hensel lift to p^k settles v exactly when v − v_p(B) < k
-            if np.any(v - vb >= max(cap, MIN_PRECISION_CAP)):
+            if np.any(v - vb >= cap):
                 raise PrecisionExceededError(
                     f"a valuation under {self} was not certified within precision {cap}", cap
                 )

@@ -24,10 +24,6 @@ class Value:
     def __init__(self, q: Fraction | int | None):
         self._q = None if q is None else Fraction(q)
 
-    @classmethod
-    def finite(cls, q: Fraction | int) -> "Value":
-        return cls(Fraction(q))
-
     @property
     def is_infinite(self) -> bool:
         return self._q is None

@@ -14,6 +14,7 @@ from qval.approximation import (
     weak_approx,
 )
 from qval.errors import DomainError
+from qval.exprparse import MAX_DIGITS
 from qval.quadratic import QuadElem
 from qval.quasi import min_extension
 from qval.valuations import extensions_of, v_p
@@ -67,6 +68,23 @@ def test_against_brute_force_small_instances():
         ]
         assert feasible, "brute force must find a solution too"
         assert x.denominator == 1 and int(x) % modulus in feasible
+
+
+def test_solutions_past_the_digit_limit_are_refused():
+    # 13285·log10(2) + log10(5) ≈ 3999.9 digits of CRT modulus; one more power of 2 is over
+    x = rational_approx([(2, 1, 13285), (5, 0, 1)])
+    assert v_p(2, x - 1) >= 13285 and v_p(5, x) >= 1
+    assert len(str(x.numerator)) <= MAX_DIGITS
+    with pytest.raises(DomainError, match=f"more than {MAX_DIGITS} digits"):
+        rational_approx([(2, 1, 13286), (5, 0, 1)])
+    # the common denominator alone: 3^4000·7^4000 has over 5000 digits
+    with pytest.raises(DomainError, match=f"more than {MAX_DIGITS} digits"):
+        rational_approx([(2, Fraction(1, 3**4000), 1), (5, Fraction(1, 7**4000), 1)])
+    for m in (5000, 10**5, 10**100):
+        targets = [ApproxTarget(3, QuadElem(Fraction(1, 7), Fraction(3), 2), Fraction(m)),
+                   ApproxTarget(5, QuadElem(Fraction(2), Fraction(-1, 3), 2), Fraction(m))]
+        with pytest.raises(DomainError, match=f"more than {MAX_DIGITS} digits"):
+            weak_approx(2, targets)
 
 
 def test_intersection_basis_examples():
@@ -173,7 +191,7 @@ def test_rational_factors_are_stable_under_the_solver_qvs():
     # the bound estimate splits w(c * r) into v_p(c) + w(r) for rational c;
     # that step needs rational elements to be stable, checked here on the
     # same quasi-valuations the solver uses
-    from qval.quasi import is_stable
+    from qval.quasi import instability_witness
     from qval.sampling import quad_elements
 
     rng = random.Random(55)
@@ -186,8 +204,8 @@ def test_rational_factors_are_stable_under_the_solver_qvs():
     for target, qv in zip(targets, (min_extension(3, 2), min_extension(5, 2))):
         difference = solution.x - target.x
         factor = difference.a  # a rational factor of the assembled estimate
-        assert is_stable(qv, factor, samples)
-        assert is_stable(qv, Fraction(17, 6), samples)
+        assert instability_witness(qv, factor, samples) is None
+        assert instability_witness(qv, Fraction(17, 6), samples) is None
 
 
 def test_explicit_quasi_valuations_are_validated():

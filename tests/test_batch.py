@@ -11,7 +11,7 @@ from qval.errors import DomainError
 from qval.quadratic import QuadElem
 from qval.quasi import MinOf, NAdic, Scaled, check_axioms, min_extension
 from qval.sampling import elements_for
-from qval.triples import INF, field_triple
+from qval.triples import INF, QuasiValuation, field_triple
 from qval.valuations import PAdicValuation, extensions_of
 
 CONSTRUCTORS = [
@@ -42,15 +42,28 @@ def test_engine_declines_oversized_inputs():
 
 
 def test_engine_declines_unknown_constructors():
-    class Opaque:
+    class LooksLikeV2:
+        """Every method and attribute of a constructor, delegating to v_2,
+        but not a QuasiValuation subclass."""
+
         d = None
         value_denominator = 1
 
         def value(self, x):
             return PAdicValuation(2).value(x)
 
-    with pytest.raises(DomainError):
-        batch.pairwise_axiom_check(Opaque(), [Fraction(1)])
+        def triple_value(self, a, b, q):
+            return PAdicValuation(2).triple_value(a, b, q)
+
+        def magnitude_bound(self, a, b, q):
+            return PAdicValuation(2).magnitude_bound(a, b, q)
+
+    w = LooksLikeV2()
+    for refused in (lambda: batch.pairwise_axiom_check(w, [Fraction(1)]),
+                    lambda: check_axioms(w, [Fraction(1), Fraction(2)]),
+                    lambda: batch.gauge_matrix(w, [Fraction(0)], [Fraction(1)])):
+        with pytest.raises(DomainError, match="not a QuasiValuation"):
+            refused()
 
 
 def test_triple_representation():
@@ -142,7 +155,7 @@ def _full_matrix_check(w, samples):
     return checked, violations
 
 
-class _FlippedAtFour:
+class _FlippedAtFour(QuasiValuation):
     """inner, negated exactly at x = 4 (as test_quasi._SignFlipped does
     to v_2): the check must report the broken pairs."""
 
@@ -150,9 +163,6 @@ class _FlippedAtFour:
         self.inner = inner
         self.d = inner.d
         self.value_denominator = inner.value_denominator
-
-    def value(self, x):
-        raise NotImplementedError  # the pairwise check never asks for it
 
     def triple_value(self, a, b, q):
         v = self.inner.triple_value(a, b, q)

@@ -151,6 +151,18 @@ def test_problem_file_with_a_huge_integer_exits_two(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("m", ["5000", "100000"])
+def test_approx_past_the_digit_limit_exits_two(capsys, tmp_path, m):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"d": 2, "targets": [
+        {"p": 3, "x": {"a": "1/7", "b": "3"}, "m": m},
+        {"p": 5, "x": {"a": "2", "b": "-1/3"}, "m": m},
+    ]}))
+    code, out, err = run(capsys, "approx", "--problem", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "--qv", "scaled:1e5000,vp:2", "4"),
     ("eval", "--qv", "scaled:1e-5000,vp:2", "4"),

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from qval.errors import ParseError
+from qval.lemmas import constructor_pool
 from qval.quasi import MinOf, NAdic, Scaled
 from qval.qvspec import parse_qv
+from qval.triples import QuasiValuation
 from qval.valuations import ExtendedValuation, PAdicValuation, SplitKind
 
 
@@ -16,6 +18,17 @@ def test_atoms():
     assert parse_qv("split2:7,d=2") == ExtendedValuation(7, 2, SplitKind.SPLIT, 2)
     assert parse_qv("ext:5,d=2") == ExtendedValuation(5, 2, SplitKind.INERT)
     assert parse_qv("nadic:12") == NAdic(12)
+
+
+ONE_SPEC_PER_FORM = (
+    "vp:2", "inert:5,d=2", "ram:2,d=2", "split1:7,d=2", "split2:7,d=2", "ext:5,d=2",
+    "min[vp:2|vp:3]", "nadic:12", "scaled:3/2,vp:3",
+)
+
+
+def test_every_constructor_is_a_quasi_valuation():
+    for w in constructor_pool() + [parse_qv(spec) for spec in ONE_SPEC_PER_FORM]:
+        assert isinstance(w, QuasiValuation), w
 
 
 def test_composites():

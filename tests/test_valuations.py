@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 
@@ -27,6 +28,16 @@ from qval.values import INFINITY, Value
 
 DS = (-1, 2, 5, -7)
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@contextlib.contextmanager
+def precision_cap(cap):
+    """The split-value precision cap set to cap for the block, in this context."""
+    token = valuations.set_precision_cap(cap)
+    try:
+        yield
+    finally:
+        valuations.reset_precision_cap(token)
 
 
 def test_v_p_examples():
@@ -224,9 +235,10 @@ def test_precision_cap_is_enforced():
     deep = hensel_sqrt(7, 2, 12, 1)
     adversarial = QuadElem(Fraction(deep), Fraction(-1), 2)  # agrees with the
     # branch-1 root to 12 digits, so precision 8 cannot certify it
-    with pytest.raises(PrecisionExceededError):
-        u1.value(adversarial, precision_cap=8)
-    assert u1.value(adversarial, precision_cap=64).finite_part >= 12
+    with precision_cap(8), pytest.raises(PrecisionExceededError):
+        u1.value(adversarial)
+    with precision_cap(64):
+        assert u1.value(adversarial).finite_part >= 12
 
 
 def test_extension_rejects_wrong_field():
@@ -357,7 +369,7 @@ def split_cases(draw):
     p, d = draw(st.sampled_from(SPLIT_FIELDS))
     branch = draw(st.sampled_from((1, 2)))
     triples = draw(st.lists(split_triples(p, d, branch), min_size=1, max_size=8))
-    # a cap below 8 acts as 8: the lift started at precision 8
+    # a cap below 8, where the lift started, is refused
     return ExtendedValuation(p, d, SplitKind.SPLIT, branch), triples, draw(st.sampled_from(
         (4, 8, 16, 64, 100)))
 
@@ -366,9 +378,18 @@ def split_cases(draw):
 @given(split_cases())
 def test_closed_form_split_value_agrees_with_hensel_lifting(case):
     u, triples, cap = case
+    if cap < valuations.MIN_PRECISION_CAP:
+        with pytest.raises(DomainError):
+            valuations.set_precision_cap(cap)
+        return
+    with precision_cap(cap):
+        _check_closed_form_split_value(u, triples, cap)
+
+
+def _check_closed_form_split_value(u, triples, cap):
     expected = [_outcome(lambda t=t: _hensel_value(u, *t, cap)) for t in triples]
     for t, want in zip(triples, expected):
-        assert _outcome(lambda: u.triple_value(*t, precision_cap=cap)) == want, (u, t, cap)
+        assert _outcome(lambda: u.triple_value(*t)) == want, (u, t, cap)
     raised = [e for e in expected if isinstance(e, tuple)]
     want = raised[0] if raised else expected
     # arrays raise when any entry would; int64 wherever the magnitude gate allows it
@@ -377,7 +398,7 @@ def test_closed_form_split_value_agrees_with_hensel_lifting(case):
     for dtype in dtypes:
         for shape in ((len(triples),), (len(triples), 1), (1, len(triples))):
             a, b, q = (np.array(c, dtype=dtype).reshape(shape) for c in zip(*triples))
-            got = _outcome(lambda: u.triple_value(a, b, q, precision_cap=cap))
+            got = _outcome(lambda: u.triple_value(a, b, q))
             if not raised:
                 got = np.array(got, dtype=object).ravel().tolist()
             assert got == want, (u, triples, cap, dtype, shape)
@@ -394,7 +415,8 @@ def test_closed_form_on_int64_arrays_with_deep_entries():
         for depths in ((2, 3, 4), (4, 12, 20)):
             triples = [(-s % 7**k, 1, 7) for k in depths] + [(3, 1, 1), (0, 0, 1), (5, 0, 49)]
             a, b, q = (np.array(c, dtype=np.int64) for c in zip(*triples))
-            values = u.triple_value(a, b, q, precision_cap=64)
+            with precision_cap(64):
+                values = u.triple_value(a, b, q)
             assert values.dtype == np.int64
             assert values.tolist() == [_hensel_value(u, *t, 64) for t in triples]
             assert all(v >= k - 1 for v, k in zip(values.tolist(), depths))
