@@ -23,14 +23,12 @@ take ∞ from masks of zero inputs, never from the sentinel.
 
 import numpy as np
 
-from .errors import DomainError
-from .triples import INT64_LIMIT, QuasiValuation, field_triple
+from .triples import INT64_LIMIT, field_triple, require_quasi_valuation
 
 
 def _triples(w, elements) -> list[tuple[int, int, int]]:
-    if not isinstance(w, QuasiValuation):
-        raise DomainError(f"{w!r} is not a QuasiValuation subclass instance")
-    return [field_triple(x, w.d) for x in elements]
+    d = require_quasi_valuation(w).d
+    return [field_triple(x, d) for x in elements]
 
 
 def _array_dtype(w, a: int, b: int, q: int):

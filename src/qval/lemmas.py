@@ -14,20 +14,23 @@ the individual statements; see ``LEMMA_IDS``.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import PropertyViolation
 from .quasi import MinOf, NAdic, Scaled, min_extension
 from .report import PropertyReport
-from .sampling import ball_members, elements_for, shift_above, shift_below
+from .sampling import (_integer_grid_element, _witness_above, ball_members, elements_for,
+                       shift_above, shift_below)
 from .topology import (
     Ball,
     Side,
     dichotomy,
     integer_refinement,
-    membership_scaling_chain,
+    membership_scaling_rows,
     recenter,
     ring_value_equivalence,
     separation_witness,
+    threshold_disagreement,
 )
 from .valuations import PAdicValuation, SplitKind, extensions_of, primes_by_kind
 
@@ -35,7 +38,12 @@ FIELD_PARAMETERS = (-1, 2, 5, -7)
 
 
 def constructor_pool(extending_only: bool = False) -> list:
-    """Quasi-valuations covering every implemented constructor shape."""
+    """Quasi-valuations covering every implemented constructor shape, built once."""
+    return list(_frozen_pool(extending_only))
+
+
+@lru_cache(maxsize=2)
+def _frozen_pool(extending_only: bool) -> tuple:
     pool: list = [PAdicValuation(p) for p in (2, 3, 5, 7)]
     for d in FIELD_PARAMETERS:
         for kind in SplitKind:
@@ -46,7 +54,7 @@ def constructor_pool(extending_only: bool = False) -> list:
     pool.extend((NAdic(6), NAdic(12)))
     if not extending_only:
         pool.append(MinOf((PAdicValuation(2), PAdicValuation(3))))
-    return [w for w in pool if not extending_only or w.extended_prime is not None]
+    return tuple(w for w in pool if not extending_only or w.extended_prime is not None)
 
 
 def _random_bound(rng: random.Random) -> Fraction:
@@ -96,16 +104,18 @@ def check_overlap_bound(seed: int, instances: int = 20, samples: int = 100) -> P
         w = _pick(pool, rng)
         x = _one_element(w, rng)
         m = _random_bound(rng)
+        g = _witness_above(w, m, strict=True)  # so z − x and z − y are shifts above m
+        zs, ys = [], []
         for _ in range(samples):
-            z = x + shift_above(w, m, rng, strict=True)
-            y = z - shift_above(w, m, rng, strict=True)
-            report.record()
-            gauge = w.value(y - x)
-            if not gauge > m:
+            zs.append(x + g * _integer_grid_element(w, rng))
+            ys.append(zs[-1] - g * _integer_grid_element(w, rng))
+        report.record(samples)
+        for z, y, inside in zip(zs, ys, Ball(w, x, m, strict=True).contains_all(ys)):
+            if not inside:
                 report.fail(
                     {"w": w, "x": x, "y": y, "z": z, "m": m},
                     f"w(y - x) > {m}",
-                    str(gauge),
+                    str(w.value(y - x)),
                 )
     return report
 
@@ -258,12 +268,11 @@ def check_threshold_chain(seed: int, instances: int = 20, samples: int = 100) ->
             a = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
             if a != 0:
                 thresholds.append(a)
-        for x, a in zip(xs, thresholds):
-            report.record()
-            try:
-                membership_scaling_chain(w, x, a)
-            except PropertyViolation as exc:
-                report.fail({"w": w, "x": x, "a": a}, "four-way agreement", str(exc))
+        report.record(samples)
+        for x, a, conditions in zip(xs, thresholds, membership_scaling_rows(w, xs, thresholds)):
+            if len(set(conditions)) != 1:
+                report.fail({"w": w, "x": x, "a": a}, "four-way agreement",
+                            threshold_disagreement(w, x, a, conditions))
     return report
 
 

@@ -27,7 +27,7 @@ from .errors import DomainError, PropertyViolation
 from .primes import factorize, is_prime
 from .quadratic import as_quad, as_rational
 from .report import PropertyReport
-from .triples import QuasiValuation, clamp_inf, minimum, multiplicity
+from .triples import QuasiValuation, clamp_inf, minimum, multiplicity, require_quasi_valuation
 from .valuations import ExtendedValuation, PAdicValuation, extensions_of
 from .values import Value
 
@@ -48,7 +48,7 @@ class MinOf(QuasiValuation):
     members: tuple[Valuation, ...]
 
     def __init__(self, members):
-        members = tuple(members)
+        members = tuple(map(require_quasi_valuation, members))
         if not members:
             raise DomainError("MinOf needs at least one valuation")
         fields = {m.d for m in members}
@@ -134,7 +134,7 @@ class Scaled(QuasiValuation):
         factor = Fraction(factor)
         if factor <= 0:
             raise DomainError(f"scaling factor must be positive, got {factor}")
-        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "inner", require_quasi_valuation(inner))
         object.__setattr__(self, "factor", factor)
 
     @property
@@ -297,6 +297,11 @@ class QVRing:
 
     def contains(self, x) -> bool:
         return self.qv.value(coerce_to_field(self.qv, x)) >= 0
+
+    def contains_all(self, points) -> list[bool]:
+        """``[self.contains(x) for x in points]``, from one integer row of values."""
+        values, infinite = batch.gauge_matrix(self.qv, [0], points)
+        return (infinite[0] | (values[0] >= 0)).tolist()
 
     def __str__(self) -> str:
         return f"ring[{self.qv}]"

@@ -13,7 +13,7 @@ import math
 import random
 from fractions import Fraction
 
-from .quadratic import QuadElem
+from .quadratic import QuadElem, _elem
 from .quasi import coerce_to_field, graded_element, value_witness
 
 
@@ -34,20 +34,13 @@ def rationals(rng: random.Random, count: int, num_bound: int = 30, den_bound: in
 def quad_elements(rng: random.Random, d: int, count: int, num_bound: int = 30,
                   den_bound: int = 12, include_zero: bool = True) -> list[QuadElem]:
     """Random elements of Q(√d), seeded with 0, ±1 and √d."""
-    deck: list[QuadElem] = []
-    if include_zero:
-        deck.append(QuadElem(Fraction(0), Fraction(0), d))
-    deck.extend(
-        (
-            QuadElem(Fraction(1), Fraction(0), d),
-            QuadElem(Fraction(-1), Fraction(0), d),
-            QuadElem.root(d),
-        )
-    )
+    deck = [QuadElem(0, 0, d)] if include_zero else []
+    deck.extend((QuadElem(1, 0, d), QuadElem(-1, 0, d), QuadElem.root(d)))
     while len(deck) < count:
-        a = Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
-        b = Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
-        deck.append(QuadElem(a, b, d))
+        a, a_den = rng.randint(-num_bound, num_bound), rng.randint(1, den_bound)
+        b, b_den = rng.randint(-num_bound, num_bound), rng.randint(1, den_bound)
+        # a/a_den + (b/b_den)·√d as one integer triple; d was validated above
+        deck.append(_elem(a * b_den, b * a_den, a_den * b_den, d))
     return deck[:count]
 
 
@@ -62,11 +55,11 @@ def elements_for(w, rng: random.Random, count: int, num_bound: int = 30,
 def _integer_grid_element(w, rng: random.Random, bound: int = 9):
     """A nonzero element with integer coordinates, hence w(t) ≥ 0."""
     if w.d is None:
-        return Fraction(rng.randint(1, bound)) * rng.choice((1, -1))
+        return Fraction(rng.randint(1, bound) * rng.choice((1, -1)))
     while True:
         a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
         if a or b:
-            return QuadElem(a, b, w.d)
+            return _elem(a, b, 1, w.d)
 
 
 def _witness_above(w, bound: Fraction, strict: bool):

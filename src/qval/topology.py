@@ -12,8 +12,10 @@ bounds, and compare two quasi-valuations that share a ring.
 Where many points meet one bound, each gauge w(y − c) is evaluated once
 per (center, point), as an integer matrix (``batch.gauge_matrix``), and
 compared against the bound as an integer: ``Ball.contains_all`` for the
-members of one ball, and ``ring_value_equivalence`` for every sample,
-threshold and sampled center at once.
+members of one ball (lemma 2.10's overlap bound among them),
+``membership_scaling_rows`` for the four readings of lemma 2.17's
+threshold chain, one row each, and ``ring_value_equivalence`` for every
+sample, threshold and sampled center at once.
 """
 
 import enum
@@ -27,8 +29,8 @@ from .batch import gauge_matrix
 from .errors import DomainError, PropertyViolation
 from .quasi import QVRing, coerce_to_field
 from .report import PropertyReport
-from .valuations import v_p
-from .values import INFINITY, Value
+from .valuations import PAdicValuation
+from .values import Value
 
 
 @dataclass(frozen=True)
@@ -174,6 +176,30 @@ def _require_extended_prime(w) -> int:
     return p
 
 
+def membership_scaling_rows(w, xs, thresholds) -> list[tuple[bool, bool, bool, bool]]:
+    """The readings (a)–(d) of ``membership_scaling_chain`` for each pair (x, a),
+    each from its own row: w(x) against the ``PAdicValuation(p)`` row of v(a) for
+    (a) and (b), w(x·a⁻¹) for (c), ``QVRing.contains_all`` for (d)."""
+    if len(xs) != len(thresholds):
+        raise DomainError(f"{len(xs)} elements against {len(thresholds)} thresholds")
+    thresholds = [Fraction(a) for a in thresholds]
+    if not all(thresholds):
+        raise DomainError("the threshold element a must be nonzero")
+    p = _require_extended_prime(w)
+    xs = [coerce_to_field(w, x) for x in xs]
+    den = w.value_denominator
+    (va,), _ = gauge_matrix(PAdicValuation(p), [0], thresholds)
+    (wx,), (x_zero,) = gauge_matrix(w, [0], xs)
+    scaled = [x / a for x, a in zip(xs, thresholds)]
+    (wxa,), (xa_zero,) = gauge_matrix(w, [0], scaled)
+    return list(zip(
+        (x_zero | (wx >= va * den)).tolist(),
+        (x_zero | (wx - va * den >= 0)).tolist(),
+        (xa_zero | (wxa >= 0)).tolist(),
+        QVRing(w).contains_all(scaled),
+    ))
+
+
 def membership_scaling_chain(w, x, a) -> bool:
     """Four equivalent readings of "w(x) clears the threshold v(a)".
 
@@ -181,27 +207,19 @@ def membership_scaling_chain(w, x, a) -> bool:
     following agree, and the common truth value is returned:
       (a) w(x) ≥ v(a);  (b) w(x) − v(a) ≥ 0;  (c) w(x·a⁻¹) ≥ 0;
       (d) x·a⁻¹ lies in the ring of w.
-    Disagreement would mean a broken constructor and raises.
+    Disagreement would mean a broken constructor and raises.  This is the
+    one-pair case of ``membership_scaling_rows``.
     """
-    a = Fraction(a)
-    if a == 0:
-        raise DomainError("the threshold element a must be nonzero")
-    p = _require_extended_prime(w)
-    x = coerce_to_field(w, x)
-    va = v_p(p, a).finite_part
-    wx = w.value(x)
-    scaled = x / a
-    conditions = (
-        wx >= va,
-        wx - va >= 0,
-        w.value(scaled) >= 0,
-        QVRing(w).contains(scaled),
-    )
+    (conditions,) = membership_scaling_rows(w, [x], [a])
     if len(set(conditions)) != 1:
-        raise PropertyViolation(
-            f"threshold conditions disagree for w={w}, x={x}, a={a}: {conditions}"
-        )
+        raise PropertyViolation(threshold_disagreement(w, x, a, conditions))
     return conditions[0]
+
+
+def threshold_disagreement(w, x, a, conditions) -> str:
+    """The message of a chain whose four readings disagree."""
+    return (f"threshold conditions disagree for w={w}, x={coerce_to_field(w, x)}, "
+            f"a={Fraction(a)}: {conditions}")
 
 
 def ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6),
@@ -253,7 +271,7 @@ def ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6),
         report.fail(
             {"x": samples[i], "alpha": alphas[k]},
             f"w1(x) >= {alphas[k]} iff w2(x) >= {alphas[k]}",
-            f"w1(x) = {_as_value(w1, *row1, i)}, w2(x) = {_as_value(w2, *row2, i)}",
+            f"w1(x) = {w1.value(samples[i])}, w2(x) = {w2.value(samples[i])}",
         )
 
     # closed balls with integer bounds around sampled centers agree pointwise
@@ -268,7 +286,3 @@ def ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6),
             f"w1-ball: {in1[c, k, j]}, w2-ball: {in2[c, k, j]}",
         )
     return report
-
-
-def _as_value(w, gauges, infinite, i) -> Value:
-    return INFINITY if infinite[i] else Value(Fraction(int(gauges[i]), w.value_denominator))

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import DomainError
 from .primes import int_valuation
 from .quadratic import as_quad, as_rational
 from .values import INFINITY, Value
@@ -65,6 +66,13 @@ class QuasiValuation:
         if a == 0 and b == 0:
             return INFINITY
         return Value(Fraction(self.triple_value(a, b, q), self.value_denominator))
+
+
+def require_quasi_valuation(w):
+    """w itself, or DomainError when w does not subclass ``QuasiValuation``."""
+    if not isinstance(w, QuasiValuation):
+        raise DomainError(f"{w!r} is not a QuasiValuation subclass instance")
+    return w
 
 
 def multiplicity(x, p: int):

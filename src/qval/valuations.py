@@ -240,7 +240,8 @@ class ExtendedValuation(QuasiValuation):
             v = patch(vt, vt > vb + e,
                       lambda a, b, vb: multiplicity(norm_form(a, b, self.d), p) - vb - e, a, b, vb)
             # a Hensel lift to p^k settles v exactly when v − v_p(B) < k
-            if np.any(v - vb >= cap):
+            over = v - vb >= cap
+            if over.any() if isinstance(over, np.ndarray) else over:
                 raise PrecisionExceededError(
                     f"a valuation under {self} was not certified within precision {cap}", cap
                 )

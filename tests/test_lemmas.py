@@ -1,7 +1,15 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from qval.errors import PropertyViolation
-from qval.lemmas import LEMMA_IDS, constructor_pool, run_lemma
+from qval.lemmas import (LEMMA_IDS, _one_element, _pick, _random_bound, constructor_pool,
+                         run_lemma)
+from qval.quasi import QVRing
+from qval.report import PropertyReport
+from qval.sampling import elements_for, shift_above
+from qval.valuations import ExtendedValuation, PAdicValuation, v_p
 
 
 def test_pool_covers_all_shapes():
@@ -37,3 +45,104 @@ def test_runs_are_reproducible():
     first = run_lemma("2.14", seed=5, instances=3, samples=12)
     second = run_lemma("2.14", seed=5, instances=3, samples=12)
     assert first.to_dict() == second.to_dict()
+
+
+def test_pool_is_a_fresh_list_of_shared_constructors():
+    first, second = constructor_pool(), constructor_pool()
+    assert first == second and first is not second
+    first.clear()
+    assert constructor_pool() == second
+    assert all(a is b for a, b in zip(constructor_pool(), second))
+
+
+# The scalar loops of 2.10 and 2.17 that the gauge rows replace: one value()
+# per sample, and the four-way chain as four scalar readings.  They draw from
+# the rng in the same order as the row forms, so the reports must be equal.
+
+def _reference_overlap_bound(seed, instances, samples):
+    rng = random.Random(seed)
+    pool = constructor_pool()
+    report = PropertyReport(lemma="2.10", seed=seed)
+    for _ in range(instances):
+        w = _pick(pool, rng)
+        x = _one_element(w, rng)
+        m = _random_bound(rng)
+        for _ in range(samples):
+            z = x + shift_above(w, m, rng, strict=True)
+            y = z - shift_above(w, m, rng, strict=True)
+            report.record()
+            gauge = w.value(y - x)
+            if not gauge > m:
+                report.fail({"w": w, "x": x, "y": y, "z": z, "m": m}, f"w(y - x) > {m}",
+                            str(gauge))
+    return report
+
+
+def _reference_chain(w, x, a):
+    va = v_p(w.extended_prime, a).finite_part
+    wx = w.value(x)
+    scaled = x / a
+    conditions = (wx >= va, wx - va >= 0, w.value(scaled) >= 0, QVRing(w).contains(scaled))
+    if len(set(conditions)) != 1:
+        raise PropertyViolation(
+            f"threshold conditions disagree for w={w}, x={x}, a={a}: {conditions}")
+
+
+def _reference_threshold_chain(seed, instances, samples):
+    rng = random.Random(seed)
+    pool = constructor_pool(extending_only=True)
+    report = PropertyReport(lemma="2.17", seed=seed)
+    for _ in range(instances):
+        w = _pick(pool, rng)
+        xs = elements_for(w, rng, samples)
+        thresholds = []
+        while len(thresholds) < samples:
+            a = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+            if a != 0:
+                thresholds.append(a)
+        for x, a in zip(xs, thresholds):
+            report.record()
+            try:
+                _reference_chain(w, x, a)
+            except PropertyViolation as exc:
+                report.fail({"w": w, "x": x, "a": a}, "four-way agreement", str(exc))
+    return report
+
+
+REFERENCES = {"2.10": _reference_overlap_bound, "2.17": _reference_threshold_chain}
+
+
+def _lower_odd(v):
+    """A corruption by value alone: odd values (scaled by the value
+    denominator) drop by one, the same on ints and on arrays of any triple."""
+    return v - (v % 2 == 1)
+
+
+def _lower_two_mod_three(v):
+    return v - (v % 3 == 2)
+
+
+def _assert_rows_match_the_scalar_loops():
+    """Failures per lemma id, after comparing every report with its reference."""
+    failures = dict.fromkeys(REFERENCES, 0)
+    for lemma_id, reference in REFERENCES.items():
+        for seed in range(4):
+            for instances, samples in ((3, 30), (10, 6), (2, 1), (1, 0)):
+                got = run_lemma(lemma_id, seed, instances, samples).to_dict()
+                assert got == reference(seed, instances, samples).to_dict(), (lemma_id, seed)
+                failures[lemma_id] += len(got["failures"])
+    return failures
+
+
+def test_row_forms_match_the_scalar_loops_on_the_pool():
+    assert set(_assert_rows_match_the_scalar_loops().values()) == {0}
+
+
+@pytest.mark.parametrize("cls, corruption", [(PAdicValuation, _lower_odd),
+                                             (ExtendedValuation, _lower_two_mod_three)])
+def test_row_forms_match_the_scalar_loops_under_a_corrupted_constructor(
+        monkeypatch, cls, corruption):
+    honest = cls.triple_value
+    monkeypatch.setattr(cls, "triple_value",
+                        lambda self, a, b, q: corruption(honest(self, a, b, q)))
+    assert all(_assert_rows_match_the_scalar_loops().values())

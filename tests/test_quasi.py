@@ -51,6 +51,13 @@ def test_minof_validation():
         MinOf((PAdicValuation(2), extensions_of(7, 2)[0]))
 
 
+@pytest.mark.parametrize("build", [lambda: Scaled(object(), 2), lambda: MinOf([object()]),
+                                   lambda: MinOf([PAdicValuation(2), object()])])
+def test_constructors_refuse_foreign_parts(build):
+    with pytest.raises(DomainError, match="is not a QuasiValuation subclass instance"):
+        build()
+
+
 def test_minof_base_prime_detection():
     u1, u2 = extensions_of(7, 2)
     assert MinOf((u1, u2)).extended_prime == 7

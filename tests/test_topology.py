@@ -3,18 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from qval.errors import DomainError
+from qval.errors import DomainError, PropertyViolation
 from qval.lemmas import constructor_pool
 from qval.quadratic import QuadElem
 from qval.quasi import MinOf, NAdic, QVRing, Scaled, coerce_to_field, min_extension
 from qval.report import PropertyReport
-from qval.sampling import ball_members, elements_for, shift_above
+from qval.sampling import ball_members, elements_for, rationals, shift_above
 from qval.topology import (
     Ball,
     Side,
     dichotomy,
     integer_refinement,
     membership_scaling_chain,
+    membership_scaling_rows,
     recenter,
     ring_value_equivalence,
     separation_witness,
@@ -216,10 +217,51 @@ def test_hausdorff_on_many_random_pairs():
 def test_membership_scaling_chain_examples():
     assert membership_scaling_chain(V2, 8, 4) is True
     assert membership_scaling_chain(V2, 2, 4) is False
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="the threshold element a must be nonzero"):
         membership_scaling_chain(V2, 3, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="declared base prime"):
         membership_scaling_chain(MinOf((V2, V3)), 6, 2)  # mixed base rejected
+
+
+class _OddDropped(PAdicValuation):
+    """v_2 with every odd value lowered by one: not a quasi-valuation."""
+
+    def triple_value(self, a, b, q):
+        v = super().triple_value(a, b, q)
+        return v - (v % 2 == 1)
+
+
+def test_membership_scaling_chain_reports_disagreement():
+    # w(2) = 0 < v(2) = 1, but w(2/2) = w(1) = 0 puts 2/2 in the ring
+    message = "threshold conditions disagree for w=vp:2, x=2, a=2: (False, False, True, True)"
+    with pytest.raises(PropertyViolation) as caught:
+        membership_scaling_chain(_OddDropped(2), 2, 2)
+    assert str(caught.value) == message
+    assert membership_scaling_rows(_OddDropped(2), [2, 8], [2, 2]) == [
+        (False, False, True, True), (True, True, True, True)]
+
+
+def test_membership_scaling_rows_agree_with_the_chain():
+    rng = random.Random(19)
+    for w in constructor_pool(extending_only=True):
+        xs = elements_for(w, rng, 30) + [x * 7**40 for x in elements_for(w, rng, 5)]
+        thresholds = [a for a in rationals(rng, 60, include_zero=False) if a][:len(xs) - 1]
+        thresholds.append(Fraction(1, 3**50))  # v(a) past the int64 gate
+        rows = membership_scaling_rows(w, xs, thresholds)
+        assert len(rows) == len(xs)
+        for x, a, row in zip(xs, thresholds, rows):
+            assert all(type(reading) is bool for reading in row)
+            assert row == (membership_scaling_chain(w, x, a),) * 4, (w, x, a)
+
+
+def test_membership_scaling_rows_refuse_what_the_chain_refuses():
+    assert membership_scaling_rows(V2, [], []) == []
+    with pytest.raises(DomainError, match="the threshold element a must be nonzero"):
+        membership_scaling_rows(V2, [1, 2], [3, 0])
+    with pytest.raises(DomainError, match="declared base prime"):
+        membership_scaling_rows(MinOf((V2, V3)), [6], [2])
+    with pytest.raises(DomainError):
+        membership_scaling_rows(V2, [1, 2], [3])
 
 
 def test_membership_scaling_chain_on_split_min():
@@ -378,6 +420,16 @@ def test_contains_all_agrees_with_contains():
                 assert ball.contains_all(points + members) == [
                     ball.contains(y) for y in points + members], (w, bound, strict)
     assert Ball(V2, 0, 0).contains_all([]) == []
+
+
+def test_ring_contains_all_agrees_with_contains():
+    rng = random.Random(17)
+    for w in constructor_pool():
+        points = elements_for(w, rng, 30)
+        points += [x * 7**30 for x in points[-5:]] + [x / 5**40 for x in points[-5:]]
+        ring = QVRing(w)
+        assert ring.contains_all(points) == [ring.contains(x) for x in points], w
+    assert QVRing(V2).contains_all([]) == []
 
 
 def test_contains_all_past_the_sentinel():
