@@ -16,9 +16,12 @@ refuse anything else with ``DomainError``.
 The arithmetic stays exact.  A worst-case magnitude check with unbounded
 Python ints, which takes the constructor's ``magnitude_bound`` into
 account, picks int64 arrays when nothing can overflow and dtype=object
-arrays of Python ints otherwise.  Values come back as integers scaled by
-the constructor's value denominator, with the sentinel INF for ∞; callers
-take ∞ from masks of zero inputs, never from the sentinel.
+arrays of Python ints otherwise.  On int64 arrays the p-adic
+multiplicities under every ``triple_value`` are division-free (see
+``triples.multiplicity``); dtype=object arrays divide Python ints.  Values
+come back as integers scaled by the constructor's value denominator, with
+the sentinel INF for ∞; callers take ∞ from masks of zero inputs, never
+from the sentinel.
 """
 
 import numpy as np

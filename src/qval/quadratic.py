@@ -241,18 +241,24 @@ def _elem(a: int, b: int, q: int, d: int) -> QuadElem:
 
 
 def as_quad(x, d: int) -> QuadElem:
-    """Coerce a rational or a matching QuadElem into Q(√d)."""
+    """Coerce a rational or a matching QuadElem into Q(√d).
+
+    A rational becomes its triple directly, with d validated as the public
+    constructor validates it."""
     if isinstance(x, QuadElem):
-        if x.d != d:
-            if x.is_rational:
-                return QuadElem.from_rational(x.a, d)
+        if x.d == d:
+            return x
+        if not x.is_rational:
             raise DomainError(f"element of Q(sqrt({x.d})) is not in Q(sqrt({d}))")
-        return x
-    return QuadElem.from_rational(Fraction(x), d)
+        return _elem(x.A, 0, x.Q, validate_discriminant(d))
+    r = as_rational(x)
+    return _elem(r.numerator, 0, r.denominator, validate_discriminant(d))
 
 
 def as_rational(x) -> Fraction:
-    """Coerce a rational or a rational QuadElem into Q."""
+    """Coerce a rational or a rational QuadElem into Q; a Fraction is returned as it is."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, QuadElem):
         if not x.is_rational:
             raise DomainError(f"{x} is not rational")

@@ -14,6 +14,10 @@ derives ``value(x)``, which builds one ``Value`` at the edge.
 Where a result may be ∞ it is set by a mask computed from the inputs
 (x = 0, or a factor that vanishes), never by comparing a computed value
 against the sentinel, so finite values of any size stay exact.
+
+On int64 arrays ``multiplicity`` divides nothing (the lowest set bit at
+p = 2, a multiply by p⁻¹ mod 2^64 at odd p); on dtype=object arrays it
+divides only the entries still divisible.
 """
 
 from fractions import Fraction
@@ -78,23 +82,43 @@ def require_quasi_valuation(w):
 def multiplicity(x, p: int):
     """Multiplicity of the prime p in x, entrywise for arrays; 0 maps to INF.
 
-    Arrays (int64 or dtype=object) are swept whole once, to find the
-    nonzero entries divisible by p; each later round divides only the
-    entries still divisible, so the work follows the total multiplicity,
-    not the size times the deepest entry.  x is never written to.
+    int64 arrays divide nothing.  At p = 2 the multiplicity is the exponent
+    of the lowest set bit, x & −x, a power of two that float64 holds
+    exactly.  At odd p, with u = |x| read as uint64 and inv = p⁻¹ mod 2^64,
+    p divides u exactly when u·inv (mod 2^64) ≤ (2^64 − 1)//p, and then
+    u·inv is u/p (Granlund & Montgomery, PLDI 1994): each round is one
+    multiply and one compare on the entries still divisible.  inv and the
+    bound are uint64 scalars, since uint64 mixed with int64 promotes to
+    float64.  dtype=object arrays are swept once with %, and each later
+    round divides only the entries still divisible.  Either way the work
+    follows the total multiplicity, and x is never written to.
     """
     if not isinstance(x, np.ndarray):
         return int_valuation(p, x) if x else INF
     flat = x.ravel()
     zero = flat == 0
-    v = np.zeros(flat.shape, dtype=x.dtype)
-    at = (~zero & (flat % p == 0)).nonzero()[0]
-    cur = flat[at]  # a copy: fancy indexing never returns a view
-    while at.size:
-        cur //= p
-        v[at] += 1
-        still = cur % p == 0
-        at, cur = at[still], cur[still]
+    if x.dtype == object:
+        v = np.zeros(flat.shape, dtype=x.dtype)
+        at = (~zero & (flat % p == 0)).nonzero()[0]
+        cur = flat[at]  # a copy: fancy indexing never returns a view
+        while at.size:
+            cur //= p
+            v[at] += 1
+            still = cur % p == 0
+            at, cur = at[still], cur[still]
+    elif p == 2:
+        v = np.frexp(flat & -flat)[1].astype(np.int64) - 1
+    else:
+        inv, limit = np.uint64(pow(p, -1, 1 << 64)), np.uint64((2**64 - 1) // p)
+        v = np.zeros(flat.shape, dtype=np.int64)
+        cur = np.abs(flat).view(np.uint64) * inv
+        at = (~zero & (cur <= limit)).nonzero()[0]
+        cur = cur[at]
+        while at.size:
+            v[at] += 1
+            cur *= inv
+            still = cur <= limit
+            at, cur = at[still], cur[still]
     v[zero] = INF
     return v.reshape(x.shape)
 

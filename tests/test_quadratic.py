@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qval.errors import DomainError
-from qval.quadratic import QuadElem, as_quad, is_squarefree, validate_discriminant
+from qval.quadratic import QuadElem, as_quad, as_rational, is_squarefree, validate_discriminant
 
 DS = (-1, 2, 5, -7)
 
@@ -144,6 +144,43 @@ def test_conjugate():
     x = q("3/4", "5/6", -1)
     assert x.conjugate() == q("3/4", "-5/6", -1)
     assert x * x.conjugate() == x.norm()
+
+
+class _Half(Fraction):
+    pass
+
+
+def test_as_rational_returns_a_fraction_as_it_is():
+    x = Fraction(3, 6)
+    assert as_rational(x) is x
+    for y in (_Half(1, 2), 1, "1/2", q("1/2", 0, 5)):
+        assert type(as_rational(y)) is Fraction
+    assert as_rational(_Half(1, 2)) == Fraction(1, 2) and as_rational(7) == 7
+    with pytest.raises(DomainError, match="is not rational"):
+        as_rational(q(1, 1, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs, st.sampled_from(DS))
+def test_as_quad_matches_the_public_constructor(r, d):
+    for x in (r, _Half(r), r.numerator if r.denominator == 1 else r,
+              QuadElem(r, 0, 3 if d == 2 else 2)):
+        y, z = as_quad(x, d), QuadElem.from_rational(Fraction(r), d)
+        assert type(y) is QuadElem and y == z and (y.A, y.B, y.Q, y.d) == (z.A, z.B, z.Q, z.d)
+
+
+def test_as_quad_refuses_what_the_public_constructor_refuses():
+    for x in (Fraction(1, 2), 3, QuadElem(Fraction(1, 2), 0, 2)):
+        for bad in (0, 1, 4, -12):
+            with pytest.raises(DomainError) as expected:
+                QuadElem.from_rational(as_rational(x), bad)
+            with pytest.raises(DomainError) as got:
+                as_quad(x, bad)
+            assert str(got.value) == str(expected.value)
+    with pytest.raises(DomainError, match=r"not in Q\(sqrt\(5\)\)"):
+        as_quad(QuadElem(1, 1, 2), 5)
+    with pytest.raises(ValueError):
+        as_quad("one", 5)
 
 
 # ---------------------------------------------------------------------------

@@ -50,3 +50,72 @@ def test_multiplicity_at_the_int64_limit_and_beyond():
     big = np.array([2**64 * 3, -(11**40), 2**65 + 3], dtype=object)
     assert multiplicity(big, 2).tolist() == [64, 0, 0]
     assert multiplicity(big, 11).tolist() == [0, 40, 0]
+
+
+def _dividing_multiplicity(x, p):
+    """Reference: the int64 kernel as a division loop, an int64 % sweep and
+    one // round per unit of multiplicity over the entries still divisible."""
+    flat = x.ravel()
+    zero = flat == 0
+    v = np.zeros(flat.shape, dtype=np.int64)
+    at = (~zero & (flat % p == 0)).nonzero()[0]
+    cur = flat[at]
+    while at.size:
+        cur //= p
+        v[at] += 1
+        still = cur % p == 0
+        at, cur = at[still], cur[still]
+    v[zero] = INF
+    return v.reshape(x.shape)
+
+
+KERNEL_PRIMES = (2, 3, 5, 7, 11, 13, 65537, 2**31 - 1, 2**61 - 1)
+INT64_EDGES = (0, 1, -1, INT64_LIMIT - 1, -(INT64_LIMIT - 1), 2**63 - 1, -(2**63))
+
+
+@st.composite
+def int64_arrays(draw):
+    """(p, array): int64 entries mixing zeros, the int64 edge values, any
+    integer below 2^62 and ±u·p^k below 2^62, laid out 1-D, 2-D or as a
+    non-contiguous slice of a 2-D array."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    top = next(k for k in range(63) if p ** (k + 1) >= INT64_LIMIT)
+    power = st.integers(0, top).flatmap(lambda k: st.builds(
+        lambda s, u: s * u * p**k, st.sampled_from((1, -1)),
+        st.integers(1, min(2 * p + 3, (INT64_LIMIT - 1) // p**k))))
+    entry = st.one_of(st.sampled_from(INT64_EDGES),
+                      st.integers(-INT64_LIMIT + 1, INT64_LIMIT - 1), power)
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    full = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)),
+                    dtype=np.int64).reshape(rows, cols)
+    layout = draw(st.sampled_from(("1d", "2d", "slice")))
+    if layout == "1d":
+        return p, full.ravel()
+    return p, full if layout == "2d" else full[:, ::2]
+
+
+@settings(max_examples=400, deadline=None)
+@given(int64_arrays())
+def test_int64_kernel_matches_the_division_loop(case):
+    p, x = case
+    before = x.copy()
+    v = multiplicity(x, p)
+    assert v.dtype == np.int64 and v.shape == x.shape
+    assert np.array_equal(v, _dividing_multiplicity(x, p))
+    assert np.array_equal(v == INF, x == 0)
+    assert np.array_equal(x, before)
+
+
+def test_int64_kernel_at_the_edges():
+    x = np.array(INT64_EDGES + (2, 3, 6, 2**62, -(3**39), 5**27, 7**22 * 2, 65537**3), dtype=np.int64)
+    before = x.copy()
+    for p in KERNEL_PRIMES:
+        v = multiplicity(x, p)
+        assert v.dtype == np.int64
+        assert v.tolist() == [int_valuation(p, int(e)) if e else INF for e in x.tolist()]
+        assert np.array_equal(v, _dividing_multiplicity(x, p))
+    assert multiplicity(x, 2).tolist()[:7] == [INF, 0, 0, 0, 0, 0, 63]
+    assert np.array_equal(x, before)
+    strided = np.arange(-60, 60, dtype=np.int64).reshape(6, 20)[1::2, ::3]
+    for p in (2, 3, 5):
+        assert np.array_equal(multiplicity(strided, p), _dividing_multiplicity(strided, p))
