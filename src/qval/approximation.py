@@ -188,19 +188,14 @@ def weak_approx(d: int, targets, qvs=None) -> ApproxSolution:
     one, r = intersection_basis(d, qvs)
     scale = r.b  # r = scale·√d with scale a positive rational
     expanded = [as_quad(t.x, d) for t in targets]
-    first_coords = [x.a for x in expanded]
-    second_coords = [x.b / scale for x in expanded]
 
-    if len(targets) == 1:
-        x = expanded[0]  # the target itself already achieves value ∞
-    else:
-        d1 = rational_approx(
-            [(t.p, c, a) for t, c, a in zip(targets, first_coords, alphas)]
-        )
-        d2 = rational_approx(
-            [(t.p, c, a) for t, c, a in zip(targets, second_coords, alphas)]
-        )
-        x = d1 * one + d2 * r
+    # each coordinate over {1, r} on its own; one target comes back as
+    # itself, which achieves value ∞
+    d1, d2 = (
+        rational_approx([(t.p, c, a) for t, c, a in zip(targets, coords, alphas)])
+        for coords in ([x.a for x in expanded], [x.b / scale for x in expanded])
+    )
+    x = d1 * one + d2 * r
 
     certificates = []
     for t, qv in zip(targets, qvs):

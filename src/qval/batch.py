@@ -14,9 +14,10 @@ integer matrix.  Both take only subclasses of ``QuasiValuation`` and
 refuse anything else with ``DomainError``.
 
 The arithmetic stays exact.  A worst-case magnitude check with unbounded
-Python ints, which takes the constructor's ``magnitude_bound`` into
-account, picks int64 arrays when nothing can overflow and dtype=object
-arrays of Python ints otherwise.  On int64 arrays the p-adic
+Python ints, on the triples formed here, picks int64 arrays when none of
+them can reach ``INT64_LIMIT`` and dtype=object arrays of Python ints
+otherwise.  What a constructor forms from those triples it sizes itself
+(see ``triples.formed``).  On int64 arrays the p-adic
 multiplicities under every ``triple_value`` are division-free (see
 ``triples.multiplicity``); dtype=object arrays divide Python ints.  Values
 come back as integers scaled by the constructor's value denominator, with
@@ -34,10 +35,9 @@ def _triples(w, elements) -> list[tuple[int, int, int]]:
     return [field_triple(x, d) for x in elements]
 
 
-def _array_dtype(w, a: int, b: int, q: int):
-    """int64 when triples with |A| ≤ a, |B| ≤ b, Q ≤ q, and every integer
-    ``w.triple_value`` forms from them, stay below 2^62; else dtype=object."""
-    return np.int64 if max(a, b, q, w.magnitude_bound(a, b, q)) < INT64_LIMIT else object
+def _array_dtype(a: int, b: int, q: int):
+    """int64 when triples with |A| ≤ a, |B| ≤ b, Q ≤ q stay below INT64_LIMIT, else object."""
+    return np.int64 if max(a, b, q) < INT64_LIMIT else object
 
 
 def gauge_matrix(w, centers, points):
@@ -53,7 +53,7 @@ def gauge_matrix(w, centers, points):
         return np.zeros((len(cs), len(ys)), dtype=np.int64), np.zeros((len(cs), len(ys)), bool)
     max_a, max_b, max_q = (max(abs(t[i]) for t in cs + ys) for i in range(3))
     # (yA·cQ − cA·yQ, yB·cQ − cB·yQ, yQ·cQ) is the difference triple
-    dtype = _array_dtype(w, 2 * max_a * max_q, 2 * max_b * max_q, max_q * max_q)
+    dtype = _array_dtype(2 * max_a * max_q, 2 * max_b * max_q, max_q * max_q)
     ca, cb, cq = (np.array(column, dtype=dtype)[:, None] for column in zip(*cs))
     ya, yb, yq = (np.array(column, dtype=dtype) for column in zip(*ys))
     a, b = ya * cq - ca * yq, yb * cq - cb * yq
@@ -72,12 +72,12 @@ def pairwise_axiom_check(w, samples):
         return 0, []
     max_a, max_b, max_q = (max(abs(t[i]) for t in triples) for i in range(3))
     # worst-case coordinate magnitudes after one pairwise add / multiply,
-    # checked with unbounded ints before anything is narrowed to int64
+    # checked with unbounded ints before anything is narrowed to int64;
+    # d counts where every B is 0 too, since the products multiply by it
     d = abs(w.d) if w.d is not None else 0
     sum_bound = (2 * max_a * max_q, 2 * max_b * max_q, max_q * max_q)
-    prod_bound = (max_a * max_a + max_b * max_b * d, 2 * max_a * max_b, max_q * max_q)
-    worst = tuple(map(max, sum_bound, prod_bound, (max_a, max_b, max_q)))
-    dtype = _array_dtype(w, *worst)
+    prod_bound = (max_a * max_a + max(max_b, 1) ** 2 * d, 2 * max_a * max_b, max_q * max_q)
+    dtype = _array_dtype(*map(max, sum_bound, prod_bound))  # these bound the samples too
     a, b, q = (np.array(column, dtype=dtype) for column in zip(*triples))
 
     # sum and product triples for the unordered pairs i ≤ j only, row-major

@@ -25,6 +25,14 @@ from .valuations import reset_precision_cap, set_precision_cap
 PRECISION_ENV = "QVAL_PRECISION_CAP"
 
 
+def count(text: str) -> int:
+    """A --samples or --instances value: an integer ≥ 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qval",
@@ -57,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_axioms = sub.add_parser("axioms", help="run the quasi-valuation axiom harness")
     p_axioms.add_argument("--qv", required=True)
-    p_axioms.add_argument("--samples", type=int, default=200)
+    p_axioms.add_argument("--samples", type=count, default=200)
     p_axioms.add_argument("--seed", type=int, default=0)
     p_axioms.set_defaults(handler=cmd_axioms)
 
@@ -65,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--qv", required=True)
     p_sep.add_argument("x")
     p_sep.add_argument("y")
-    p_sep.add_argument("--samples", type=int, default=100)
+    p_sep.add_argument("--samples", type=count, default=100)
     p_sep.add_argument("--seed", type=int, default=0)
     p_sep.set_defaults(handler=cmd_separate)
 
@@ -76,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemma = sub.add_parser("lemma", help="run one property check by id")
     p_lemma.add_argument("--id", required=True, choices=sorted(LEMMA_IDS),
                          dest="lemma_id")
-    p_lemma.add_argument("--instances", type=int, default=20)
-    p_lemma.add_argument("--samples", type=int, default=100)
+    p_lemma.add_argument("--instances", type=count, default=20)
+    p_lemma.add_argument("--samples", type=count, default=100)
     p_lemma.add_argument("--seed", type=int, default=0)
     p_lemma.set_defaults(handler=cmd_lemma)
 
@@ -187,12 +195,9 @@ def main(argv=None) -> int:
         if cap is not None:
             token = set_precision_cap(cap)  # for this call only
         return args.handler(args)
-    except (ParseError, DomainError, OSError) as exc:
+    except (ParseError, DomainError, OSError, PrecisionExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PrecisionExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, PrecisionExceededError) else 2  # a cap reached exits 1
     finally:
         if token is not None:
             reset_precision_cap(token)

@@ -12,9 +12,9 @@ valuations on the same field, the n-adic function on Q for composite n,
 and positive rational rescaling.  These and the valuations themselves
 (``PAdicValuation``, ``ExtendedValuation``) all subclass ``QuasiValuation``,
 so any of them can be used wherever a quasi-valuation is expected.  Each
-constructor evaluates integer triples in its ``triple_value`` and inherits
-``value`` (see ``triples``); the axiom harness runs ``triple_value`` on
-arrays of every sample, pairwise sum and product (see ``batch``).
+constructor evaluates integer triples in its ``triple_value``, sizing any
+integer it forms there (``triples.formed``), and inherits ``value``; the
+axiom harness runs it on arrays of every sample, sum and product (``batch``).
 """
 
 import math
@@ -27,7 +27,8 @@ from .errors import DomainError, PropertyViolation
 from .primes import factorize, is_prime
 from .quadratic import as_quad, as_rational
 from .report import PropertyReport
-from .triples import QuasiValuation, clamp_inf, minimum, multiplicity, require_quasi_valuation
+from .triples import (QuasiValuation, clamp_inf, minimum, multiplicity, require_quasi_valuation,
+                      times)
 from .valuations import ExtendedValuation, PAdicValuation, extensions_of
 from .values import Value
 
@@ -75,13 +76,8 @@ class MinOf(QuasiValuation):
 
     def triple_value(self, a, b, q):
         scale = self.value_denominator
-        parts = (m.triple_value(a, b, q) * (scale // m.value_denominator) for m in self.members)
+        parts = (times(m.triple_value(a, b, q), scale // m.value_denominator) for m in self.members)
         return clamp_inf(reduce(minimum, parts), (a == 0) & (b == 0))
-
-    def magnitude_bound(self, a: int, b: int, q: int) -> int:
-        scale = self.value_denominator
-        return max(m.magnitude_bound(a, b, q) * (scale // m.value_denominator)
-                   for m in self.members)
 
     def __str__(self) -> str:
         return "min[" + "|".join(str(m) for m in self.members) + "]"
@@ -155,10 +151,7 @@ class Scaled(QuasiValuation):
 
     def triple_value(self, a, b, q):
         inner = self.inner.triple_value(a, b, q)
-        return clamp_inf(inner * self.factor.numerator, (a == 0) & (b == 0))
-
-    def magnitude_bound(self, a: int, b: int, q: int) -> int:
-        return self.inner.magnitude_bound(a, b, q) * self.factor.numerator
+        return clamp_inf(times(inner, self.factor.numerator), (a == 0) & (b == 0))
 
     def __str__(self) -> str:
         return f"scaled:{self.factor},{self.inner}"
@@ -239,15 +232,15 @@ def check_axioms(w, samples, seed: int | None = None) -> PropertyReport:
 
     Returns a report carrying exact counterexamples on failure.
     """
-    samples = [coerce_to_field(w, x) for x in samples]
+    samples = list(samples)  # any iterable: a failure is read back by index
+    checked, violations = batch.pairwise_axiom_check(w, samples)
     report = PropertyReport(lemma=f"quasi-valuation axioms [{w}]", seed=seed)
 
-    zero_value = w.value(coerce_to_field(w, 0))
+    zero_value = w.value(0)
     report.record()
     if not zero_value.is_infinite:
         report.fail({"x": "0"}, "w(0) = inf", str(zero_value))
 
-    checked, violations = batch.pairwise_axiom_check(w, samples)
     report.record(checked)
     for kind, i, j in violations:
         _record_pair_failure(report, w, samples, kind, i, j)
@@ -256,11 +249,11 @@ def check_axioms(w, samples, seed: int | None = None) -> PropertyReport:
 
 def _record_pair_failure(report: PropertyReport, w, samples, kind: str, i: int, j: int):
     """Report a violation found on the arrays, with its values re-evaluated."""
-    x = samples[i]
+    x = coerce_to_field(w, samples[i])
     if kind == "negation":
         report.fail({"x": x}, f"w(-x) = w(x) = {w.value(x)}", str(w.value(-x)))
         return
-    y = samples[j]
+    y = coerce_to_field(w, samples[j])
     vx, vy = w.value(x), w.value(y)
     if kind == "superadditive":
         report.fail({"x": x, "y": y}, f"w(xy) >= {vx + vy}", str(w.value(x * y)))

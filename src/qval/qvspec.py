@@ -18,7 +18,7 @@ Examples: ``vp:2``, ``min[vp:2|vp:3]``, ``min[split1:7,d=2|split2:7,d=2]``,
 from .errors import DomainError, ParseError
 from .exprparse import parse_rational
 from .quasi import MinOf, NAdic, Scaled
-from .valuations import ExtendedValuation, PAdicValuation, SplitKind, classify, extensions_of
+from .valuations import ExtendedValuation, PAdicValuation, SplitKind, classify
 
 GRAMMAR_HELP = (
     "vp:P | inert:P,d=D | ram:P,d=D | split1:P,d=D | split2:P,d=D | ext:P,d=D | "
@@ -40,31 +40,28 @@ def _split_extension_args(body: str, tag: str) -> tuple[int, int]:
     return _int(parts[0], "prime"), _int(parts[1][2:], "d")
 
 
+# tag → (kind, branch); ext takes the kind p has in Q(√d) and refuses a split p
+_EXTENSIONS = {"inert": (SplitKind.INERT, 0), "ram": (SplitKind.RAMIFIED, 0),
+               "split1": (SplitKind.SPLIT, 1), "split2": (SplitKind.SPLIT, 2), "ext": (None, 0)}
+
+
 def parse_valuation(text: str):
     """A single valuation atom."""
     text = text.strip()
+    tag, colon, body = text.partition(":")
     try:
-        if text.startswith("vp:"):
-            return PAdicValuation(_int(text[3:], "prime"))
-        if text.startswith("inert:"):
-            p, d = _split_extension_args(text[6:], "inert")
-            return ExtendedValuation(p, d, SplitKind.INERT)
-        if text.startswith("ram:"):
-            p, d = _split_extension_args(text[4:], "ram")
-            return ExtendedValuation(p, d, SplitKind.RAMIFIED)
-        if text.startswith("split1:"):
-            p, d = _split_extension_args(text[7:], "split1")
-            return ExtendedValuation(p, d, SplitKind.SPLIT, branch=1)
-        if text.startswith("split2:"):
-            p, d = _split_extension_args(text[7:], "split2")
-            return ExtendedValuation(p, d, SplitKind.SPLIT, branch=2)
-        if text.startswith("ext:"):
-            p, d = _split_extension_args(text[4:], "ext")
-            if classify(p, d) is SplitKind.SPLIT:
-                raise ParseError(
-                    f"{p} splits in Q(sqrt({d})); choose split1:... or split2:..."
-                )
-            return extensions_of(p, d)[0]
+        if colon and tag == "vp":
+            return PAdicValuation(_int(body, "prime"))
+        if colon and tag in _EXTENSIONS:
+            p, d = _split_extension_args(body, tag)
+            kind, branch = _EXTENSIONS[tag]
+            if kind is None:
+                kind = classify(p, d)
+                if kind is SplitKind.SPLIT:
+                    raise ParseError(
+                        f"{p} splits in Q(sqrt({d})); choose split1:... or split2:..."
+                    )
+            return ExtendedValuation(p, d, kind, branch)
     except DomainError as exc:
         raise ParseError(str(exc)) from None
     raise ParseError(f"unknown valuation spec {text!r}; grammar: {GRAMMAR_HELP}")

@@ -93,10 +93,9 @@ def recenter(first: Ball, second: Ball, y) -> Ball:
         raise DomainError("recentering applies to strict balls")
     if first.qv != second.qv:
         raise DomainError("balls live under different quasi-valuations")
-    if not first.contains(y):
-        raise DomainError(f"{y} is outside {first}")
-    if not second.contains(y):
-        raise DomainError(f"{y} is outside {second}")
+    for ball in (first, second):
+        if not ball.contains(y):
+            raise DomainError(f"{y} is outside {ball}")
     return Ball(first.qv, y, max(first.bound, second.bound), strict=True)
 
 

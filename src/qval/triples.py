@@ -15,6 +15,11 @@ Where a result may be ∞ it is set by a mask computed from the inputs
 (x = 0, or a factor that vanishes), never by comparing a computed value
 against the sentinel, so finite values of any size stay exact.
 
+int64 arrays carry entries below ``INT64_LIMIT``, which the batch engine
+checks of the triples it forms.  An integer a constructor forms beyond its
+input (a norm, A + B·seed, a rescaled value) goes through ``formed``, which
+moves just those operands to Python ints where the result could reach it.
+
 On int64 arrays ``multiplicity`` divides nothing (the lowest set bit at
 p = 2, a multiply by p⁻¹ mod 2^64 at odd p); on dtype=object arrays it
 divides only the entries still divisible.
@@ -47,10 +52,9 @@ class QuasiValuation:
     """The base of every constructor, valuations included.
 
     A subclass provides ``d`` (None for Q, else the field is Q(√d)) and
-    ``triple_value``; it overrides ``value_denominator`` where its values
-    are not all integers and ``magnitude_bound`` where it forms integers
-    above INF.  No field a dataclass subclass declares is given a default
-    here: dataclasses read defaults through the class hierarchy.
+    ``triple_value``, and overrides ``value_denominator`` where its values
+    are not all integers.  No field a dataclass subclass declares is given
+    a default here: dataclasses read defaults through the class hierarchy.
     """
 
     value_denominator = 1  # every value times this is an integer
@@ -58,11 +62,6 @@ class QuasiValuation:
     def triple_value(self, a, b, q):
         """w((a + b·√d)/q)·value_denominator on ints or same-shape arrays, INF for ∞."""
         raise NotImplementedError
-
-    def magnitude_bound(self, a: int, b: int, q: int) -> int:
-        """A bound on every integer triple_value forms, the sentinel and its
-        multiples included, for inputs with |A| ≤ a, |B| ≤ b, Q ≤ q."""
-        return INF
 
     def value(self, x) -> Value:
         """w(x) as a Value: x = 0 is ∞, anything else goes through triple_value."""
@@ -134,12 +133,32 @@ def clamp_inf(values, mask):
     return INF if mask else values
 
 
+def formed(form, *operands, bound=None):
+    """form(*operands), on Python ints where an integer it forms could reach INT64_LIMIT.
+
+    Same-shape int64 arrays move to dtype=object when bound (by default form,
+    which serves a form that only adds and multiplies by nonnegative
+    constants) of their largest magnitudes, as Python ints, reaches the limit.
+    Each magnitude counts as at least 1, so the bound also covers every
+    constant in the form: an int64 array never meets a Python int it cannot
+    hold, which numpy 2 refuses with OverflowError even where it multiplies 0.
+    """
+    first = operands[0]
+    if isinstance(first, np.ndarray) and first.dtype != object and first.size:
+        if (bound or form)(*(max(1, int(abs(x).max())) for x in operands)) >= INT64_LIMIT:
+            operands = (x.astype(object) for x in operands)
+    return form(*operands)
+
+
 def norm_form(a, b, d: int):
-    """a² − d·b², on Python ints unless |a|² + |d|·|b|² fits int64."""
-    if isinstance(a, np.ndarray) and a.dtype != object and a.size:
-        if int(abs(a).max()) ** 2 + abs(d) * int(abs(b).max()) ** 2 >= INT64_LIMIT:
-            a, b = a.astype(object), b.astype(object)
-    return a * a - d * b * b
+    """a² − d·b², sized by ``formed``."""
+    return formed(lambda a, b: a * a - d * b * b, a, b,
+                  bound=lambda a, b: a * a + abs(d) * b * b)
+
+
+def times(values, factor: int):
+    """values·factor for an integer factor ≥ 1, sized by ``formed``; values at factor 1."""
+    return values if factor == 1 else formed(lambda v: v * factor, values)
 
 
 def patch(values, mask, fn, *coords):

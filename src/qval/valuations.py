@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, PrecisionExceededError
 from .primes import is_prime, require_prime, sqrt_mod_prime
 from .quadratic import validate_discriminant
-from .triples import INF, QuasiValuation, clamp_inf, field_triple, multiplicity, norm_form, patch
+from .triples import QuasiValuation, clamp_inf, field_triple, formed, multiplicity, norm_form, patch
 from .values import Value
 
 # A policy bound on split values: where a Hensel lift to p^cap could not settle
@@ -215,15 +215,9 @@ class ExtendedValuation(QuasiValuation):
         # inert and ramified: v_p of the norm, halved.  Exactness: the norm
         # is multiplicative and nonzero off 0, and for inert primes its
         # valuation is always even.
-        v_norm = multiplicity(a * a - b * b * self.d, self.p) - 2 * multiplicity(q, self.p)
+        v_norm = multiplicity(norm_form(a, b, self.d), self.p) - 2 * multiplicity(q, self.p)
         scaled = v_norm if self.kind is SplitKind.RAMIFIED else v_norm // 2
         return clamp_inf(scaled, (a == 0) & (b == 0))
-
-    def magnitude_bound(self, a: int, b: int, q: int) -> int:
-        if self.kind is SplitKind.SPLIT:
-            # A + B·seed, seed < p² (p = 2 too); the norm is sized apart, in norm_form
-            return max(a + b * self.p**2, INF)
-        return max(a * a + b * b * abs(self.d), INF)
 
     def _split_value(self, a, b, q, cap: int):
         """v_p(A + B·s) − v_p(Q), exactly, for the branch's p-adic root s of d.
@@ -247,7 +241,8 @@ class ExtendedValuation(QuasiValuation):
                 )
             return v
 
-        vt = multiplicity(a + b * _split_seeds(p, self.d)[self.branch - 1], p)
+        seed = _split_seeds(p, self.d)[self.branch - 1]
+        vt = multiplicity(formed(lambda a, b: a + b * seed, a, b), p)
         v = patch(vt, vt > e, past_one_digit, a, b, vt)
         return clamp_inf(v - multiplicity(q, p), (a == 0) & (b == 0))
 

@@ -8,7 +8,19 @@ element ``INFINITY``.
 """
 
 import math
+import operator
 from fractions import Fraction
+
+
+def _compared_by_key(op):
+    """A ``Value`` comparison: op on the ``_cmp_key`` of both sides, an int
+    or Fraction on the right taken as a finite value."""
+    def compare(self, other) -> bool:
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return op(self._cmp_key(), other._cmp_key())
+    return compare
 
 
 class Value:
@@ -69,35 +81,11 @@ class Value:
         # (0, q) < (1, 0): every finite value precedes infinity
         return (1, Fraction(0)) if self._q is None else (0, self._q)
 
-    def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp_key() == other._cmp_key()
-
-    def __lt__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp_key() < other._cmp_key()
-
-    def __le__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp_key() <= other._cmp_key()
-
-    def __gt__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp_key() > other._cmp_key()
-
-    def __ge__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp_key() >= other._cmp_key()
+    __eq__ = _compared_by_key(operator.eq)
+    __lt__ = _compared_by_key(operator.lt)
+    __le__ = _compared_by_key(operator.le)
+    __gt__ = _compared_by_key(operator.gt)
+    __ge__ = _compared_by_key(operator.ge)
 
     def __hash__(self) -> int:
         return hash(self._cmp_key())

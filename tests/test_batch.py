@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qval.batch as batch
 from qval.errors import DomainError
 from qval.quadratic import QuadElem
 from qval.quasi import MinOf, NAdic, Scaled, check_axioms, min_extension
 from qval.sampling import elements_for
-from qval.triples import INF, QuasiValuation, field_triple
-from qval.valuations import PAdicValuation, extensions_of
+from qval.triples import INF, INT64_LIMIT, QuasiValuation, field_triple
+from qval.valuations import PAdicValuation, SplitKind, extensions_of, hensel_sqrt, primes_by_kind
 
 CONSTRUCTORS = [
     PAdicValuation(2),
@@ -54,9 +56,6 @@ def test_engine_declines_unknown_constructors():
 
         def triple_value(self, a, b, q):
             return PAdicValuation(2).triple_value(a, b, q)
-
-        def magnitude_bound(self, a, b, q):
-            return PAdicValuation(2).magnitude_bound(a, b, q)
 
     w = LooksLikeV2()
     for refused in (lambda: batch.pairwise_axiom_check(w, [Fraction(1)]),
@@ -105,7 +104,7 @@ def _full_matrix_check(w, samples):
     sum_bound = (2 * max_a * max_q, 2 * max_b * max_q, max_q * max_q)
     prod_bound = (max_a * max_a + max_b * max_b * d, 2 * max_a * max_b, max_q * max_q)
     worst = tuple(map(max, sum_bound, prod_bound, (max_a, max_b, max_q)))
-    dtype = batch._array_dtype(w, *worst)
+    dtype = batch._array_dtype(*worst)
     a, b, q = (np.array(column, dtype=dtype) for column in zip(*triples))
 
     a_col, b_col, q_col = a[:, None], b[:, None], q[:, None]
@@ -168,9 +167,6 @@ class _FlippedAtFour(QuasiValuation):
         v = self.inner.triple_value(a, b, q)
         return v - 2 * v * ((a == 4 * q) & (b == 0))
 
-    def magnitude_bound(self, a, b, q):
-        return 2 * self.inner.magnitude_bound(a, b, q)
-
 
 def _corruption_cases():
     rng = random.Random(21)
@@ -207,15 +203,33 @@ def test_triangle_check_sizes_zero_and_one():
     assert batch.pairwise_axiom_check(_FlippedAtFour(w), [4]) == (3, [("negation", 0, 0)])
 
 
-@pytest.mark.parametrize("p, d", [(5, -1), (7, 2), (11, 5), (2, -7)])
+def _criterion_1_constructors(d):
+    """Acceptance criterion 1's constructors over Q (d is None) or Q(√d),
+    the second split branch added: 9 over Q and 4 (here 5) per field."""
+    if d is None:
+        return [*map(PAdicValuation, (2, 3, 5, 7)), *map(NAdic, (2, 3, 4, 6, 12))]
+    split_p = primes_by_kind(d, SplitKind.SPLIT)[0]
+    return [*(extensions_of(primes_by_kind(d, kind)[0], d)[0] for kind in SplitKind),
+            extensions_of(split_p, d)[1], min_extension(split_p, d)]
+
+
+@pytest.mark.parametrize("p, d", [(5, -1), (7, 2), (11, 5), (2, -7),
+                                  pytest.param(None, None, id="Q")])
 def test_split_constructors_take_int64_on_wide_inputs(monkeypatch, p, d):
     # coordinates up to 10^4 over denominators up to 12, the extremes pinned:
-    # |A|, |B| up to 12·10^4 and Q up to 132 in the sample triples
+    # |A|, |B| up to 12·10^4 and Q up to 132 in the sample triples.  The
+    # norms of their pairwise products pass 2^62; the constructors size
+    # those themselves, so the engine takes int64 on every one
     n = 10**4
-    samples = [QuadElem(0, 0, d), QuadElem(1, 0, d), QuadElem(0, 1, d),
-               QuadElem(n, Fraction(1, 12), d), QuadElem(Fraction(1, 12), n, d),
-               QuadElem(Fraction(n, 11), Fraction(-n, 12), d),
-               QuadElem(Fraction(-n, 12), Fraction(n, 11), d)]
+    if d is None:
+        samples = [Fraction(0), Fraction(1), Fraction(n), Fraction(1, 12),
+                   Fraction(n, 11), Fraction(-n, 12)]
+    else:
+        assert primes_by_kind(d, SplitKind.SPLIT)[0] == p
+        samples = [QuadElem(0, 0, d), QuadElem(1, 0, d), QuadElem(0, 1, d),
+                   QuadElem(n, Fraction(1, 12), d), QuadElem(Fraction(1, 12), n, d),
+                   QuadElem(Fraction(n, 11), Fraction(-n, 12), d),
+                   QuadElem(Fraction(-n, 12), Fraction(n, 11), d)]
     chosen = []
 
     def recording(*args):
@@ -224,7 +238,88 @@ def test_split_constructors_take_int64_on_wide_inputs(monkeypatch, p, d):
 
     choose = batch._array_dtype
     monkeypatch.setattr(batch, "_array_dtype", recording)
-    for w in (*extensions_of(p, d), min_extension(p, d)):
-        batch.pairwise_axiom_check(w, samples)
-    assert chosen == [np.int64] * 3
+    constructors = _criterion_1_constructors(d)
+    for w in constructors:
+        assert batch.pairwise_axiom_check(w, samples)[1] == []
+    assert chosen == [np.int64] * len(constructors)
 
+
+# Every constructor shape, each sizing site among them: the inert and
+# ramified norm, the split form A + B·seed (p = 2 included), MinOf over
+# members with different value denominators, and Scaled with a numerator
+# that carries the sentinel past the limit (2^23·INF = 2^63) or every value
+# past it (40 digits), alone and around a MinOf.
+MIN_WIDE = MinOf((Scaled(extensions_of(2, -1)[0], Fraction(1, 10**40)), extensions_of(5, -1)[1]))
+SCALED_WIDE = Scaled(extensions_of(3, -1)[0], 10**39 + 7)
+SIZED_SHAPES = [
+    extensions_of(3, -1)[0],
+    extensions_of(2, 5)[0],
+    extensions_of(2, -1)[0],
+    extensions_of(7, -7)[0],
+    *extensions_of(7, 2),
+    *extensions_of(2, -7),
+    MinOf((extensions_of(2, -1)[0], extensions_of(5, -1)[0])),
+    MIN_WIDE,
+    NAdic(12),
+    Scaled(PAdicValuation(3), 2**23),
+    SCALED_WIDE,
+    Scaled(min_extension(7, 2), Fraction(2**23 + 5, 3)),
+]
+
+
+@st.composite
+def accepted_triples(draw, w):
+    """(w, triples): entries batch would put in an int64 array, |A|, |B|, Q
+    below 2^62.  Each example draws them below 50, below 2^20 (where the
+    constructor's own values stay int64 up to its rescaling) or up to the
+    limit, many of them then within 2^20 of it."""
+    top = draw(st.sampled_from((50, 2**20, INT64_LIMIT - 1)))
+    near = st.integers(max(1, top - 2**20), top)
+    signed = st.one_of(near, near.map(lambda x: -x), st.integers(-top, top))
+    q = st.one_of(near, st.integers(1, top), st.integers(1, 50))
+    b = signed if w.d is not None else st.just(0)
+    return w, draw(st.lists(st.tuples(signed, b, q), min_size=1, max_size=12))
+
+
+TOP = INT64_LIMIT - 1
+# A + B·s ≡ 0 mod 7^3 with A, B near the limit: past int64, A + B·seed
+# wraps by a multiple of 2^64 ≡ 2 (mod 7) and loses the factor 7
+SPLIT_AT_LIMIT = (TOP - (TOP + TOP * hensel_sqrt(7, 2, 3, 1)) % 7**3, TOP, 1)
+# a prime past 2^64: as the split prime its larger seed passes int64, and as d the
+# norm multiplies by it, where every B may be 0
+WIDE_PRIME = 2**64 + 13
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SIZED_SHAPES).flatmap(accepted_triples), st.booleans(), st.booleans())
+@example((extensions_of(3, -1)[0], [(TOP, TOP, 1)]), True, False)  # the norm: v_3(2·TOP²) = 2
+@example((extensions_of(7, 2)[0], [SPLIT_AT_LIMIT]), True, False)
+@example((MIN_WIDE, [(1, 1, 1)]), True, False)  # a member rescaled by 2·10^40
+@example((SCALED_WIDE, [(3, 1, 1)]), True, False)
+# no zero and small values: only the constant itself passes int64
+@example((MIN_WIDE, [(1, 0, 1)]), False, False)
+@example((SCALED_WIDE, [(1, 0, 1)]), False, False)
+@example((Scaled(PAdicValuation(3), 10**39 + 7), [(1, 0, 1), (2, 0, 1)]), False, False)
+@example((extensions_of(WIDE_PRIME, 5)[1], [(1, 0, 1), (2, 0, 1)]), False, False)
+@example((extensions_of(2, WIDE_PRIME)[0], [(1, 0, 1), (2, 0, 1)]), False, False)
+def test_int64_results_equal_object_and_scalar_results_at_the_limit(case, with_zero, as_row):
+    w, triples = case
+    if with_zero:
+        triples = triples + [(0, 0, 1)]
+    expected = [w.triple_value(*t) for t in triples]
+    for dtype in (np.int64, object):
+        a, b, q = (np.array(c, dtype=dtype) for c in zip(*triples))
+        if as_row:  # a gauge-matrix row
+            a, b, q = a[None, :], b[None, :], q[None, :]
+        got = w.triple_value(a, b, q)
+        assert got.shape == a.shape
+        assert np.asarray(got, dtype=object).ravel().tolist() == expected, (w, dtype)
+
+
+@pytest.mark.parametrize("w", [Scaled(PAdicValuation(3), 10**39 + 7), *extensions_of(WIDE_PRIME, 5),
+                               *extensions_of(2, WIDE_PRIME)], ids=str)
+def test_constants_past_int64_need_no_wide_samples(w):
+    # small samples whose every B is 0: the rescaling factor, the split
+    # seed and the d of the norm and of the products are what pass int64
+    samples = [1, 2] if w.d is None else [QuadElem(1, 0, w.d), QuadElem(2, 0, w.d)]
+    assert batch.pairwise_axiom_check(w, samples)[1] == []

@@ -128,6 +128,23 @@ def test_usage_errors_exit_two(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("axioms", "--qv", "vp:2", "--samples", "-5"),
+    ("lemma", "--id", "2.2", "--instances", "-1"),
+    ("separate", "--qv", "vp:2", "0", "4", "--samples", "-3"),
+])
+def test_negative_counts_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"must be at least 0, got {argv[-1]}" in captured.err
+    # zero is a count too: nothing is drawn, and the run passes
+    code, out, _ = run(capsys, *argv[:-1], "0")
+    assert code == 0 and "pass" in out
+
+
 @pytest.mark.parametrize("problem", [
     {"d": 2, "targets": [{"p": 3, "x": {"a": "1/x", "b": "0"}, "m": "1"}]},
     {"d": 2, "targets": [{"p": 3, "x": {"a": "1/0", "b": "0"}, "m": "1"}]},

@@ -1,14 +1,17 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from qval import cli, lemmas
 from qval.errors import PropertyViolation
 from qval.lemmas import (LEMMA_IDS, _one_element, _pick, _random_bound, constructor_pool,
                          run_lemma)
 from qval.quasi import QVRing
 from qval.report import PropertyReport
 from qval.sampling import elements_for, shift_above
+from qval.triples import QuasiValuation
 from qval.valuations import ExtendedValuation, PAdicValuation, v_p
 
 
@@ -146,3 +149,63 @@ def test_row_forms_match_the_scalar_loops_under_a_corrupted_constructor(
     monkeypatch.setattr(cls, "triple_value",
                         lambda self, a, b, q: corruption(honest(self, a, b, q)))
     assert all(_assert_rows_match_the_scalar_loops().values())
+
+
+class _CorruptedV2(QuasiValuation):
+    """v_2 with each value passed through ``corruption``: no quasi-valuation
+    any more, so the ball checks must report it."""
+
+    d = None
+    extended_prime = 2
+    base_primes = frozenset((2,))
+
+    def __init__(self, corruption):
+        self.corruption = corruption
+
+    def triple_value(self, a, b, q):
+        return self.corruption(PAdicValuation(2).triple_value(a, b, q), a)
+
+    def __str__(self):
+        return "corrupted-v2"
+
+
+def _halved(v, a):
+    return v // 2
+
+
+def _doubled(v, a):
+    return 2 * v
+
+
+def _raised_at_odd_multiples_of_3(v, a):
+    return v + (a % 2 != 0) * (a % 3 == 0)
+
+
+MEMBER_INPUTS = frozenset("mwxyz")  # a sampled member z broke the claim
+POINT_INPUTS = frozenset("mwxy")  # the constructed point y already did
+
+
+@pytest.mark.parametrize("lemma_id, corruption, inputs", [
+    ("2.11", _doubled, {MEMBER_INPUTS}),
+    ("2.12", _halved, {POINT_INPUTS}),
+    ("2.12", _raised_at_odd_multiples_of_3, {MEMBER_INPUTS}),
+    ("2.14", _halved, {POINT_INPUTS, MEMBER_INPUTS}),
+], ids=["2.11", "2.12-point", "2.12-member", "2.14"])
+def test_ball_checks_report_a_corrupted_v2(monkeypatch, lemma_id, corruption, inputs):
+    w = _CorruptedV2(corruption)
+    monkeypatch.setattr(lemmas, "constructor_pool", lambda extending_only=False: [w])
+    report = run_lemma(lemma_id, seed=0, instances=4, samples=20)
+    failures = report.to_dict()["failures"]
+    assert failures and report.instances > 0
+    assert {frozenset(f["inputs"]) for f in failures} == inputs
+    assert {f["inputs"]["w"] for f in failures} == {"corrupted-v2"}
+
+
+def test_separate_reports_a_corrupted_v2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "parse_qv", lambda text: _CorruptedV2(_halved))
+    code = cli.main(["--format", "json", "separate", "--qv", "vp:2", "0", "4", "--samples", "30"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["lemma"] == "hausdorff-separation"
+    assert report["failures"]
+    assert all(f["inputs"].keys() == {"z"} and f["expected"] == "balls are disjoint"
+               and f["got"] == "z lies in both" for f in report["failures"])

@@ -133,9 +133,6 @@ class _SignFlipped(QuasiValuation):
         v = PAdicValuation(2).triple_value(a, b, q)
         return v - 2 * v * (a == 4 * q)  # negated exactly at x = a/q = 4
 
-    def magnitude_bound(self, a, b, q):
-        return 2 * PAdicValuation(2).magnitude_bound(a, b, q)
-
     def __str__(self):
         return "corrupted-v2"
 
@@ -146,6 +143,8 @@ def test_check_axioms_catches_corruption():
     assert report.failures
     failure = report.failures[0].to_dict()
     assert set(failure) == {"inputs", "expected", "got"}
+    # samples may come from any iterable, failures included
+    assert check_axioms(_SignFlipped(), iter([0, 1, 2, 3, 4, 6, 8])).to_dict() == report.to_dict()
 
 
 def test_stability_of_rationals():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qval.errors import DomainError, PrecisionExceededError
-from qval import valuations
+from qval import batch, valuations
 from qval.primes import int_valuation
 from qval.quadratic import QuadElem, is_squarefree
 from qval.sampling import quad_elements
@@ -392,9 +392,9 @@ def _check_closed_form_split_value(u, triples, cap):
         assert _outcome(lambda: u.triple_value(*t)) == want, (u, t, cap)
     raised = [e for e in expected if isinstance(e, tuple)]
     want = raised[0] if raised else expected
-    # arrays raise when any entry would; int64 wherever the magnitude gate allows it
-    bound = u.magnitude_bound(*(max(abs(t[i]) for t in triples) for i in range(3)))
-    dtypes = (np.int64, object) if bound < 1 << 62 else (object,)
+    # arrays raise when any entry would; int64 wherever the batch engine would pick it
+    peaks = (max(abs(t[i]) for t in triples) for i in range(3))
+    dtypes = (np.int64, object) if batch._array_dtype(*peaks) is np.int64 else (object,)
     for dtype in dtypes:
         for shape in ((len(triples),), (len(triples), 1), (1, len(triples))):
             a, b, q = (np.array(c, dtype=dtype).reshape(shape) for c in zip(*triples))
