@@ -29,7 +29,8 @@ from .quadratic import as_quad, as_rational
 from .report import PropertyReport
 from .triples import (QuasiValuation, clamp_inf, minimum, multiplicity, require_quasi_valuation,
                       times)
-from .valuations import ExtendedValuation, PAdicValuation, extensions_of
+from .valuations import (ExtendedValuation, PAdicValuation, SplitKind, extensions_of,
+                         split_pair_value)
 from .values import Value
 
 Valuation = PAdicValuation | ExtendedValuation
@@ -44,6 +45,9 @@ class MinOf(QuasiValuation):
     base primes — e.g. min(v_2, v_3) on Q — are allowed but "mixed-base":
     they satisfy the axioms yet restrict to no single valuation on Q, and
     operations that need w|_Q = v_p reject them.
+
+    The two branches of one split (p, d), in either order, are read as the
+    p-content (``valuations.split_pair_value``); other minima member by member.
     """
 
     members: tuple[Valuation, ...]
@@ -56,6 +60,10 @@ class MinOf(QuasiValuation):
         if len(fields) != 1:
             raise DomainError(f"MinOf members live in different fields: {sorted(map(str, fields))}")
         object.__setattr__(self, "members", members)
+        first = members[0]
+        object.__setattr__(self, "_split_pair", len(members) == 2
+                           and type(first) is ExtendedValuation and first.kind is SplitKind.SPLIT
+                           and members[1] == first.conjugate_branch())
 
     @property
     def d(self) -> int | None:
@@ -75,9 +83,12 @@ class MinOf(QuasiValuation):
         return reduce(math.lcm, (m.value_denominator for m in self.members))
 
     def triple_value(self, a, b, q):
-        scale = self.value_denominator
-        parts = (times(m.triple_value(a, b, q), scale // m.value_denominator) for m in self.members)
-        return clamp_inf(reduce(minimum, parts), (a == 0) & (b == 0))
+        if self._split_pair:
+            return split_pair_value(self.members, a, b, q)
+        scale, zero = self.value_denominator, (a == 0) & (b == 0)
+        parts = (times(m.triple_value(a, b, q), scale // m.value_denominator, zero)
+                 for m in self.members)
+        return clamp_inf(reduce(minimum, parts), zero)
 
     def __str__(self) -> str:
         return "min[" + "|".join(str(m) for m in self.members) + "]"
@@ -150,8 +161,8 @@ class Scaled(QuasiValuation):
         return self.inner.value_denominator * self.factor.denominator
 
     def triple_value(self, a, b, q):
-        inner = self.inner.triple_value(a, b, q)
-        return clamp_inf(times(inner, self.factor.numerator), (a == 0) & (b == 0))
+        zero = (a == 0) & (b == 0)
+        return clamp_inf(times(self.inner.triple_value(a, b, q), self.factor.numerator, zero), zero)
 
     def __str__(self) -> str:
         return f"scaled:{self.factor},{self.inner}"

@@ -21,8 +21,9 @@ input (a norm, A + B·seed, a rescaled value) goes through ``formed``, which
 moves just those operands to Python ints where the result could reach it.
 
 On int64 arrays ``multiplicity`` divides nothing (the lowest set bit at
-p = 2, a multiply by p⁻¹ mod 2^64 at odd p); on dtype=object arrays it
-divides only the entries still divisible.
+p = 2, a multiply by p⁻¹ mod 2^64 at odd p), and ``least_multiplicity``
+runs the same test on two arrays at once; on dtype=object arrays they
+divide only the entries still divisible.
 """
 
 from fractions import Fraction
@@ -122,6 +123,34 @@ def multiplicity(x, p: int):
     return v.reshape(x.shape)
 
 
+def least_multiplicity(x, y, p: int):
+    """min(multiplicity(x, p), multiplicity(y, p)) for same-shape x and y: INF where both are 0.
+
+    At p = 2 this is the lowest set bit of x | y.  On int64 arrays at odd p
+    one sweep runs ``multiplicity``'s test on both, and an entry leaves it
+    as soon as either is no longer divisible.
+    """
+    if p == 2:
+        return multiplicity(x | y, 2)
+    if not isinstance(x, np.ndarray) or x.dtype == object:
+        return minimum(multiplicity(x, p), multiplicity(y, p))
+    inv, limit = np.uint64(pow(p, -1, 1 << 64)), np.uint64((2**64 - 1) // p)
+    fx, fy = x.ravel(), y.ravel()
+    zero = (fx == 0) & (fy == 0)
+    cx, cy = (np.abs(f).view(np.uint64) * inv for f in (fx, fy))
+    at = (~zero & (cx <= limit) & (cy <= limit)).nonzero()[0]
+    cx, cy = cx[at], cy[at]
+    v = np.zeros(fx.shape, dtype=np.int64)
+    while at.size:
+        v[at] += 1
+        cx *= inv
+        cy *= inv
+        still = (cx <= limit) & (cy <= limit)
+        at, cx, cy = at[still], cx[still], cy[still]
+    v[zero] = INF
+    return v.reshape(x.shape)
+
+
 def minimum(x, y):
     return np.minimum(x, y) if isinstance(x, np.ndarray) else min(x, y)
 
@@ -156,9 +185,15 @@ def norm_form(a, b, d: int):
                   bound=lambda a, b: a * a + abs(d) * b * b)
 
 
-def times(values, factor: int):
-    """values·factor for an integer factor ≥ 1, sized by ``formed``; values at factor 1."""
-    return values if factor == 1 else formed(lambda v: v * factor, values)
+def times(values, factor: int, zero):
+    """values·factor for an integer factor ≥ 1, sized by ``formed``; values at factor 1.
+
+    The entries at x = 0 (where zero holds), whose INF every caller sets
+    again, are left out of the sizing."""
+    if factor != 1:
+        finite = np.where(zero, 0, values) if isinstance(values, np.ndarray) else values
+        values = formed(lambda v: v * factor, finite)
+    return values
 
 
 def patch(values, mask, fn, *coords):

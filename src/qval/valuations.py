@@ -6,12 +6,12 @@ A rational prime p behaves in one of three ways in Q(√d):
   4d).  There is a single extension with value group (1/2)Z, computed as
   v_p(norm(x)) / 2.
 * **inert** — d is a non-residue: again a single extension, value group Z,
-  also v_p(norm(x)) / 2 (for odd p this equals min(v_p(a), v_p(b)); at
-  p = 2 with d ≡ 5 mod 8 only the norm form is multiplicative).
+  the p-content of x in an integral basis (``content_value``).
 * **split** — d is a nonzero residue (d ≡ 1 mod 8 when p = 2): there are
   two extensions w(A + B·√d) = v_p(A + B·s), one per p-adic root s of d,
   exact in closed form from a seed of s and the norm (see ``_split_value``);
-  Hensel lifting (``hensel_sqrt``) is kept as a reference only.
+  Hensel lifting (``hensel_sqrt``) is kept as a reference only.  The
+  minimum of the two is the p-content again (``split_pair_value``).
 
 Every extension restricts on Q to v_p itself; no rescaling is applied.
 """
@@ -26,7 +26,8 @@ import numpy as np
 from .errors import DomainError, PrecisionExceededError
 from .primes import is_prime, require_prime, sqrt_mod_prime
 from .quadratic import validate_discriminant
-from .triples import QuasiValuation, clamp_inf, field_triple, formed, multiplicity, norm_form, patch
+from .triples import (QuasiValuation, clamp_inf, field_triple, formed, least_multiplicity,
+                      multiplicity, norm_form, patch)
 from .values import Value
 
 # A policy bound on split values: where a Hensel lift to p^cap could not settle
@@ -212,12 +213,12 @@ class ExtendedValuation(QuasiValuation):
     def triple_value(self, a, b, q):
         if self.kind is SplitKind.SPLIT:
             return self._split_value(a, b, q, _precision_cap.get())
-        # inert and ramified: v_p of the norm, halved.  Exactness: the norm
-        # is multiplicative and nonzero off 0, and for inert primes its
-        # valuation is always even.
+        if self.kind is SplitKind.INERT:
+            return content_value(self.p, a, b, q)
+        # ramified: v_p of the norm, which is multiplicative and nonzero off
+        # 0, in half-units (value_denominator 2)
         v_norm = multiplicity(norm_form(a, b, self.d), self.p) - 2 * multiplicity(q, self.p)
-        scaled = v_norm if self.kind is SplitKind.RAMIFIED else v_norm // 2
-        return clamp_inf(scaled, (a == 0) & (b == 0))
+        return clamp_inf(v_norm, (a == 0) & (b == 0))
 
     def _split_value(self, a, b, q, cap: int):
         """v_p(A + B·s) − v_p(Q), exactly, for the branch's p-adic root s of d.
@@ -268,6 +269,45 @@ class ExtendedValuation(QuasiValuation):
             return f"split{self.branch}:{self.p},d={self.d}"
         tag = "inert" if self.kind is SplitKind.INERT else "ram"
         return f"{tag}:{self.p},d={self.d}"
+
+
+def content_value(p: int, a, b, q):
+    """min over the extensions of v_p to Q(√d) at an unramified p, on ints or arrays.
+
+    That minimum is the p-content of x = (A + B·√d)/Q in an integral basis,
+    since the integral closure of Z_(p) is the intersection of the
+    extensions' valuation rings and pO is a product of distinct primes
+    (Neukirch, I §8 and II §8).  At odd p the basis is 1, √d; at p = 2
+    (d ≡ 1 mod 4) it is 1, (1 + √d)/2, and A + B·√d = (A − B) + 2B·(1 + √d)/2.
+    """
+    # int64 entries are below INT64_LIMIT, so A − B and 2B fit
+    v = least_multiplicity(a - b, 2 * b, 2) if p == 2 else least_multiplicity(a, b, p)
+    return clamp_inf(v - multiplicity(q, p), (a == 0) & (b == 0))
+
+
+def split_pair_value(pair, a, b, q):
+    """The minimum of the two branches of one split (p, d), in either order: its content.
+
+    Each branch raises where B ≠ 0 and v_p(A + B·s) − v_p(B) ≥ cap.  Both
+    factors of (A + B·s)(A − B·s) = A² − d·B² are p-integral, so such an
+    entry has v_p(A² − d·B²) ≥ cap and |A² − d·B²| ≥ 2^cap.  Where no norm
+    can be that large nothing raises; elsewhere the branches run, in order,
+    on the entries whose norm p^cap divides, and raise with their own messages.
+    """
+    p, d = pair[0].p, pair[0].d
+    cap = _precision_cap.get()
+    peak_a, peak_b = (int(abs(c).max(initial=0)) if isinstance(c, np.ndarray) else abs(c)
+                      for c in (a, b))
+    if (peak_a * peak_a + abs(d) * peak_b * peak_b).bit_length() > cap:
+        deep = multiplicity(norm_form(a, b, d), p) >= cap
+        entries = (a, b, q)
+        if isinstance(deep, np.ndarray):
+            entries = tuple(c[deep] for c in entries)
+            deep = deep.any()
+        if deep:
+            for branch in pair:
+                branch.triple_value(*entries)
+    return content_value(p, a, b, q)
 
 
 def extensions_of(p: int, d: int) -> tuple[ExtendedValuation, ...]:

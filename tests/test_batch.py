@@ -244,11 +244,11 @@ def test_split_constructors_take_int64_on_wide_inputs(monkeypatch, p, d):
     assert chosen == [np.int64] * len(constructors)
 
 
-# Every constructor shape, each sizing site among them: the inert and
-# ramified norm, the split form A + B·seed (p = 2 included), MinOf over
-# members with different value denominators, and Scaled with a numerator
-# that carries the sentinel past the limit (2^23·INF = 2^63) or every value
-# past it (40 digits), alone and around a MinOf.
+# Every constructor shape, each sizing site among them: the ramified norm,
+# the split form A + B·seed (p = 2 included), MinOf over members with
+# different value denominators, and Scaled with a numerator that would carry
+# the sentinel past the limit (2^23·INF = 2^63, though only finite values
+# are sized) or every value past it (40 digits), alone and around a MinOf.
 MIN_WIDE = MinOf((Scaled(extensions_of(2, -1)[0], Fraction(1, 10**40)), extensions_of(5, -1)[1]))
 SCALED_WIDE = Scaled(extensions_of(3, -1)[0], 10**39 + 7)
 SIZED_SHAPES = [
@@ -323,3 +323,24 @@ def test_constants_past_int64_need_no_wide_samples(w):
     # seed and the d of the norm and of the products are what pass int64
     samples = [1, 2] if w.d is None else [QuadElem(1, 0, w.d), QuadElem(2, 0, w.d)]
     assert batch.pairwise_axiom_check(w, samples)[1] == []
+
+
+def test_a_rescaling_sizes_its_finite_values_only(monkeypatch):
+    # 2^23·INF = 2^63 would pass int64, but the sentinel is set again after
+    # the rescaling: a 0 among the samples keeps every call on int64
+    w = Scaled(PAdicValuation(3), 2**23)
+    samples = [0, *range(1, 60), Fraction(3**18, 7), Fraction(-5, 3**12)]
+    honest, seen = Scaled.triple_value, []
+
+    def recording(self, a, b, q):
+        values = honest(self, a, b, q)
+        scalars = [honest(self, *t) for t in zip(a.tolist(), b.tolist(), q.tolist())]
+        objects = honest(self, *(c.astype(object) for c in (a, b, q)))
+        assert values.tolist() == scalars == objects.tolist()
+        seen.append(values.dtype)
+        return values
+
+    monkeypatch.setattr(Scaled, "triple_value", recording)
+    report = check_axioms(w, samples)
+    assert report.passed and report.instances > len(samples) ** 2
+    assert seen == [np.dtype(np.int64)] * 4  # samples, negations, sums, products

@@ -183,14 +183,17 @@ def _raised_at_odd_multiples_of_3(v, a):
 
 MEMBER_INPUTS = frozenset("mwxyz")  # a sampled member z broke the claim
 POINT_INPUTS = frozenset("mwxy")  # the constructed point y already did
+RECENTER_INPUTS = frozenset(("w", "y", "m1", "m2"))  # y fell outside a ball it was built in
 
 
 @pytest.mark.parametrize("lemma_id, corruption, inputs", [
+    ("2.2", _halved, {RECENTER_INPUTS}),
     ("2.11", _doubled, {MEMBER_INPUTS}),
     ("2.12", _halved, {POINT_INPUTS}),
     ("2.12", _raised_at_odd_multiples_of_3, {MEMBER_INPUTS}),
     ("2.14", _halved, {POINT_INPUTS, MEMBER_INPUTS}),
-], ids=["2.11", "2.12-point", "2.12-member", "2.14"])
+    ("2.15", _halved, {POINT_INPUTS, MEMBER_INPUTS | {"alpha"}}),
+], ids=["2.2", "2.11", "2.12-point", "2.12-member", "2.14", "2.15"])
 def test_ball_checks_report_a_corrupted_v2(monkeypatch, lemma_id, corruption, inputs):
     w = _CorruptedV2(corruption)
     monkeypatch.setattr(lemmas, "constructor_pool", lambda extending_only=False: [w])
@@ -199,6 +202,24 @@ def test_ball_checks_report_a_corrupted_v2(monkeypatch, lemma_id, corruption, in
     assert failures and report.instances > 0
     assert {frozenset(f["inputs"]) for f in failures} == inputs
     assert {f["inputs"]["w"] for f in failures} == {"corrupted-v2"}
+
+
+@pytest.mark.parametrize("lemma_id, expected", [
+    ("2.2", "y lies in both balls"),
+    ("2.15", "sampled member lies in the strict ball"),
+])
+def test_lemma_cli_reports_a_failed_precondition(monkeypatch, capsys, lemma_id, expected):
+    # recenter and closed_piece refuse a point outside the ball (DomainError);
+    # under a broken constructor that is a failure of the check, not a usage error
+    w = _CorruptedV2(_halved)
+    monkeypatch.setattr(lemmas, "constructor_pool", lambda extending_only=False: [w])
+    code = cli.main(["--format", "json", "lemma", "--id", lemma_id, "--instances", "4",
+                     "--samples", "20"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["lemma"] == lemma_id
+    refused = [f for f in report["failures"] if f["expected"] == expected]
+    assert refused and all(f["got"].startswith(f"{f['inputs']['y']} is outside U_")
+                           for f in refused)
 
 
 def test_separate_reports_a_corrupted_v2(monkeypatch, capsys):

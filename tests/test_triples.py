@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qval.primes import int_valuation
-from qval.triples import INF, multiplicity
+from qval.triples import INF, least_multiplicity, multiplicity
 
 INT64_LIMIT = 1 << 62
 
@@ -119,3 +119,22 @@ def test_int64_kernel_at_the_edges():
     strided = np.arange(-60, 60, dtype=np.int64).reshape(6, 20)[1::2, ::3]
     for p in (2, 3, 5):
         assert np.array_equal(multiplicity(strided, p), _dividing_multiplicity(strided, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int64_arrays(), st.data())
+def test_least_multiplicity_is_the_lesser_of_the_two(case, data):
+    # each entry of y is x's own (equal multiplicities), 0 (where x may be 0
+    # too) or any integer below 2^62; on int64, dtype=object and Python ints
+    p, x = case
+    other = st.integers(-INT64_LIMIT + 1, INT64_LIMIT - 1)
+    y = np.array([data.draw(st.one_of(st.just(e), st.just(0), other)) for e in x.ravel().tolist()],
+                 dtype=np.int64).reshape(x.shape)
+    expected = [min(int_valuation(p, e) if e else INF, int_valuation(p, f) if f else INF)
+                for e, f in zip(x.ravel().tolist(), y.ravel().tolist())]
+    for dtype in (np.int64, object):
+        v = least_multiplicity(x.astype(dtype), y.astype(dtype), p)
+        assert v.shape == x.shape and v.dtype == dtype
+        assert v.ravel().tolist() == expected
+    assert [least_multiplicity(e, f, p)
+            for e, f in zip(x.ravel().tolist(), y.ravel().tolist())] == expected

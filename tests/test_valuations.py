@@ -1,10 +1,11 @@
 import contextlib
+import functools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qval.errors import DomainError, PrecisionExceededError
@@ -12,7 +13,8 @@ from qval import batch, valuations
 from qval.primes import int_valuation
 from qval.quadratic import QuadElem, is_squarefree
 from qval.sampling import quad_elements
-from qval.triples import clamp_inf, multiplicity
+from qval.quasi import MinOf
+from qval.triples import INF, INT64_LIMIT, clamp_inf, minimum, multiplicity
 from qval.valuations import (
     ExtendedValuation,
     PAdicValuation,
@@ -420,6 +422,126 @@ def test_closed_form_on_int64_arrays_with_deep_entries():
             assert values.dtype == np.int64
             assert values.tolist() == [_hensel_value(u, *t, 64) for t in triples]
             assert all(v >= k - 1 for v, k in zip(values.tolist(), depths))
+
+
+# ---------------------------------------------------------------------------
+# The minimum over all extensions at an unramified p is the p-content of x in
+# an integral basis: min(v_p(A), v_p(B)) − v_p(Q) at odd p, and
+# min(v_2(A − B), v_2(2B)) − v_2(Q) at p = 2 (basis 1, (1 + √d)/2).  The
+# oracle below counts factors of p one division at a time, so it checks the
+# split branches (seed test and norm) and the inert norm against code that
+# shares nothing with them.
+
+def _count_p(p, n):
+    count = 0
+    while n % p == 0:
+        n //= p
+        count += 1
+    return count
+
+
+def _content_oracle(p, a, b, q):
+    coordinates = (a - b, 2 * b) if p == 2 else (a, b)
+    return min(_count_p(p, c) for c in coordinates if c) - _count_p(p, q)
+
+
+def _memberwise(members, a, b, q):
+    """The minimum taken member by member, in member order."""
+    values = [m.triple_value(a, b, q) for m in members]
+    return clamp_inf(functools.reduce(minimum, values), (a == 0) & (b == 0))
+
+
+UNRAMIFIED_FIELDS = [(p, d) for d in (-15, -7, -3, -1, 2, 5, 13, 17, 21, 33)
+                     for p in (2, 3, 5, 7, 11, 13) if classify(p, d) is not SplitKind.RAMIFIED]
+assert {d % 8 for p, d in UNRAMIFIED_FIELDS if p == 2} == {1, 5}  # split and inert at 2
+
+
+@st.composite
+def content_triples(draw, p, d, top):
+    """(A, B, Q), Q ≥ 1 and not both A, B zero: plain, within 2^20 of top
+    (top up to INT64_LIMIT − 1), or deep: at a split p, A ≡ −B·s mod p^k for
+    one branch's root s; at an inert p, A − B or A and B divisible by p^k."""
+    q = draw(st.integers(1, 50)) * p ** draw(st.integers(0, 3))
+    near = st.integers(max(1, top - 2**20), top)
+    signed = st.one_of(near, near.map(lambda x: -x), st.integers(-top, top))
+    shape = draw(st.sampled_from(("plain", "deep", "deep")))
+    if shape == "plain":
+        a, b = draw(signed), draw(signed)
+        return (a or 1), b, draw(st.one_of(st.just(q), near))
+    k = draw(st.integers(1, 70))
+    b = draw(st.sampled_from((1, -1))) * draw(st.integers(1, 60)) * p ** draw(st.integers(0, 5))
+    u = draw(st.integers(-3, 3))
+    if classify(p, d) is SplitKind.SPLIT:
+        s = hensel_sqrt(p, d, k + 2, draw(st.sampled_from((1, 2))))
+        return (-b * s) % p**k + u * p**k, b, q
+    if p == 2:
+        return b + u * 2**k, b, q
+    return u * p**k, b * p**k, q
+
+
+@st.composite
+def content_cases(draw):
+    p, d = draw(st.sampled_from(UNRAMIFIED_FIELDS))
+    top = draw(st.sampled_from((50, 2**20, INT64_LIMIT - 1)))
+    triples = draw(st.lists(content_triples(p, d, top), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        triples.append((0, 0, draw(st.integers(1, 9))))
+    return p, d, triples, draw(st.sampled_from((8, 16, 64, valuations.DEFAULT_PRECISION_CAP)))
+
+
+# one entry 12 digits deep on branch 1 and one 20 deep on branch 2: cap 8
+# raises at whichever member comes first, cap 16 at branch 2 alone, cap 64 at neither
+DEEP_PAIR = [(-hensel_sqrt(7, 2, 12, 1) % 7**12, 1, 1), (-hensel_sqrt(7, 2, 20, 2) % 7**20, 1, 1)]
+# 279 + √17 is at least 9 digits deep on branch 1, so cap 8 raises, while
+# 279² + 17 has 17 bits: a screen that skipped a few bits past the cap misses it
+SHALLOW_RAISE = [(-hensel_sqrt(2, 17, 10, 1) % 2**9, 1, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(content_cases())
+@example((7, 2, DEEP_PAIR, 8))
+@example((7, 2, DEEP_PAIR, 16))
+@example((7, 2, DEEP_PAIR, 64))
+@example((2, 17, SHALLOW_RAISE, 8))
+def test_the_canonical_extension_is_the_p_content(case):
+    p, d, triples, cap = case
+    content = {t: INF if t[0] == t[1] == 0 else _content_oracle(p, *t) for t in triples}
+    extensions = extensions_of(p, d)
+    # v_p(norm) is the sum over the extensions, each weighted by its residue
+    # degree: twice the one inert value, or the content plus the other branch
+    for (a, b, q), value in content.items():
+        with precision_cap(cap):
+            values = [_outcome(lambda u=u: u.triple_value(a, b, q)) for u in extensions]
+        if (a or b) and not any(isinstance(v, tuple) for v in values):
+            norm = _count_p(p, a * a - d * b * b) - 2 * _count_p(p, q)
+            weighted = values * 2 if len(values) == 1 else values
+            assert sorted(weighted) == sorted((value, norm - value)), (a, b, q)
+    if len(extensions) == 1:
+        cases = [(extensions[0], None)]
+    else:  # the pair in both orders, against its members one by one, cap raises included
+        cases = [(MinOf(order), functools.partial(_memberwise, order))
+                 for order in (extensions, extensions[::-1])]
+    expected = [content[t] for t in triples]
+    peak = max(abs(c) for t in triples for c in t)
+    dtypes = (np.int64, object) if peak < INT64_LIMIT else (object,)
+    columns = list(zip(*triples))
+    with precision_cap(cap):
+        for w, memberwise in cases:
+            for t in triples:
+                got = _outcome(lambda: w.triple_value(*t))
+                if memberwise:
+                    assert got == _outcome(lambda: memberwise(*t)), (w, t, cap)
+                if not isinstance(got, tuple):
+                    assert got == content[t], (w, t)
+            for dtype in dtypes:
+                for shape in ((len(triples),), (len(triples), 1), (1, len(triples))):
+                    a, b, q = (np.array(c, dtype=dtype).reshape(shape) for c in columns)
+                    got = _outcome(lambda: w.triple_value(a, b, q))
+                    if memberwise:
+                        assert got == _outcome(lambda: memberwise(a, b, q)), (w, dtype, cap)
+                    if not isinstance(got, tuple):
+                        assert np.array(got, dtype=object).ravel().tolist() == expected
+                        assert dtype is object or w.triple_value(a, b, q).dtype == np.int64
 
 
 @settings(max_examples=300, deadline=None)
