@@ -10,7 +10,9 @@ with the upper triangle, and the constructor's own ``triple_value``
 evaluates each array in one call.  The ball gauges w(y − c) that the
 topology checks compare against bounds are formed the same way: one
 difference triple per (center, point), all of them evaluated once, as an
-integer matrix.  Both take only subclasses of ``QuasiValuation`` and
+integer matrix.  The gauges take the triples the samplers draw, and
+``clears`` compares them against a bound, on arrays or, for one point, on
+Python ints.  Both take only subclasses of ``QuasiValuation`` and
 refuse anything else with ``DomainError``.
 
 The arithmetic stays exact.  A worst-case magnitude check with unbounded
@@ -27,7 +29,7 @@ from the sentinel.
 
 import numpy as np
 
-from .triples import INT64_LIMIT, field_triple, require_quasi_valuation
+from .triples import INT64_LIMIT, field_triple, reduced, require_quasi_valuation
 
 
 def _triples(w, elements) -> list[tuple[int, int, int]]:
@@ -40,24 +42,49 @@ def _array_dtype(a: int, b: int, q: int):
     return np.int64 if max(a, b, q) < INT64_LIMIT else object
 
 
+def difference(c, y):
+    """The triple of y − c for triples c and y, on ints or on broadcasting arrays."""
+    (ca, cb, cq), (ya, yb, yq) = c, y
+    return ya * cq - ca * yq, yb * cq - cb * yq, yq * cq
+
+
 def gauge_matrix(w, centers, points):
-    """The ball gauges w(y − c) for every center c and point y.
+    """The ball gauges w(y − c) for every center triple c and point triple y.
 
     Returns (gauges, infinite), arrays of shape (len(centers), len(points)):
     gauges[i, j] is w(points[j] − centers[i])·value_denominator and
     infinite[i, j] marks points[j] = centers[i], where w = ∞ (the gauge
-    there is the sentinel and means nothing).
+    there is the sentinel and means nothing).  Elements enter as
+    ``field_triple``s of w's field.
     """
-    cs, ys = _triples(w, centers), _triples(w, points)
-    if not (cs and ys):
-        return np.zeros((len(cs), len(ys)), dtype=np.int64), np.zeros((len(cs), len(ys)), bool)
-    max_a, max_b, max_q = (max(abs(t[i]) for t in cs + ys) for i in range(3))
+    require_quasi_valuation(w)
+    if not (centers and points):
+        shape = (len(centers), len(points))
+        return np.zeros(shape, dtype=np.int64), np.zeros(shape, bool)
+    cs, ys = list(zip(*centers)), list(zip(*points))  # the A, B and Q columns
+    max_a, max_b, max_q = (max(map(abs, c + y)) for c, y in zip(cs, ys))
     # (yA·cQ − cA·yQ, yB·cQ − cB·yQ, yQ·cQ) is the difference triple
     dtype = _array_dtype(2 * max_a * max_q, 2 * max_b * max_q, max_q * max_q)
-    ca, cb, cq = (np.array(column, dtype=dtype)[:, None] for column in zip(*cs))
-    ya, yb, yq = (np.array(column, dtype=dtype) for column in zip(*ys))
-    a, b = ya * cq - ca * yq, yb * cq - cb * yq
-    return w.triple_value(a, b, yq * cq), (a == 0) & (b == 0)
+    a, b, q = difference([np.array(c, dtype=dtype)[:, None] for c in cs],
+                         [np.array(y, dtype=dtype) for y in ys])
+    return w.triple_value(a, b, q), (a == 0) & (b == 0)
+
+
+def clears(w, gauges, infinite, bound, strict: bool = False):
+    """Entrywise w > bound (strict) or w ≥ bound, for scaled integer gauges
+    g = w·den (ints or arrays): the least passing g is floor(bound·den) + 1
+    or ceil(bound·den), and ∞ passes wherever ``infinite`` holds."""
+    num, den = bound.numerator * w.value_denominator, bound.denominator  # an int or a Fraction
+    least = num // den + 1 if strict else -(-num // den)
+    return infinite | (gauges >= least)
+
+
+def point_clears(w, c, y, bound, strict: bool = False) -> bool:
+    """``clears`` for the gauge of one point triple y around one center triple c,
+    on Python ints: w is evaluated, as ``value`` is, on the reduced triple of
+    y − c, and not at y = c, where ∞ passes."""
+    a, b, q = reduced(*difference(c, y))
+    return (a == 0 and b == 0) or bool(clears(w, w.triple_value(a, b, q), False, bound, strict))
 
 
 def pairwise_axiom_check(w, samples):

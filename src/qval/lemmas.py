@@ -8,6 +8,10 @@ generator, and ball-level claims verified on generated members.  Results
 come back as ``PropertyReport`` objects; an empty failure list means every
 sampled instance satisfied the statement.
 
+Ball members, and the points of 2.10 and 2.17, stay integer triples from
+the draw to the gauge row (see ``sampling``); a check builds the field
+element of a point only when it reports that point or centers a ball on it.
+
 The string ids used by the CLI (`2.2`, `2.10`, ...) are stable names for
 the individual statements; see ``LEMMA_IDS``.
 """
@@ -16,11 +20,13 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DomainError, PropertyViolation
 from .quasi import MinOf, NAdic, Scaled, min_extension
 from .report import PropertyReport
-from .sampling import (_integer_grid_element, _witness_above, ball_members, elements_for,
-                       shift_above, shift_below)
+from .sampling import (_witness_above, ball_members, deck_triples, elements_for, grid_point,
+                       member_triples, shift_above, shift_below, shifted)
 from .topology import (
     Ball,
     Side,
@@ -32,6 +38,7 @@ from .topology import (
     separation_witness,
     threshold_disagreement,
 )
+from .triples import field_element, field_triple, reduced
 from .valuations import PAdicValuation, SplitKind, extensions_of, primes_by_kind
 
 FIELD_PARAMETERS = (-1, 2, 5, -7)
@@ -66,7 +73,7 @@ def _pick(pool, rng: random.Random):
 
 
 def _one_element(w, rng: random.Random):
-    return elements_for(w, rng, 8, include_zero=False)[-1]
+    return field_element(deck_triples(w.d, rng, 8, include_zero=False)[-1], w.d)
 
 
 def check_recentering(seed: int, instances: int = 20, samples: int = 100) -> PropertyReport:
@@ -88,16 +95,16 @@ def check_recentering(seed: int, instances: int = 20, samples: int = 100) -> Pro
             report.fail({"w": w, "y": y, "m1": bounds[0], "m2": bounds[1]},
                         "y lies in both balls", str(exc))
             continue
-        members = ball_members(ball, rng, samples)
-        for z, in_first, in_second in zip(members, first.contains_all(members),
-                                          second.contains_all(members)):
-            report.record()
-            if not (in_first and in_second):
-                report.fail(
-                    {"w": w, "y": y, "z": z, "m1": bounds[0], "m2": bounds[1]},
-                    "recentered ball lies inside both balls",
-                    f"in first: {in_first}, in second: {in_second}",
-                )
+        members = member_triples(ball, rng, samples)
+        in_first, in_second = first.contains_all(members), second.contains_all(members)
+        report.record(len(members))
+        for k in np.flatnonzero(~(in_first & in_second)):
+            report.fail(
+                {"w": w, "y": y, "z": field_element(members[k], w.d), "m1": bounds[0],
+                 "m2": bounds[1]},
+                "recentered ball lies inside both balls",
+                f"in first: {in_first[k]}, in second: {in_second[k]}",
+            )
     return report
 
 
@@ -112,18 +119,19 @@ def check_overlap_bound(seed: int, instances: int = 20, samples: int = 100) -> P
         x = _one_element(w, rng)
         m = _random_bound(rng)
         g = _witness_above(w, m, strict=True)  # so z − x and z − y are shifts above m
+        minus_g, center = -g, field_triple(x, w.d)
         zs, ys = [], []
         for _ in range(samples):
-            zs.append(x + g * _integer_grid_element(w, rng))
-            ys.append(zs[-1] - g * _integer_grid_element(w, rng))
+            zs.append(shifted(center, g, grid_point(w, rng)))
+            ys.append(shifted(zs[-1], minus_g, grid_point(w, rng)))
         report.record(samples)
-        for z, y, inside in zip(zs, ys, Ball(w, x, m, strict=True).contains_all(ys)):
-            if not inside:
-                report.fail(
-                    {"w": w, "x": x, "y": y, "z": z, "m": m},
-                    f"w(y - x) > {m}",
-                    str(w.value(y - x)),
-                )
+        for k in np.flatnonzero(~Ball(w, x, m, strict=True).contains_all(ys)):
+            y, z = field_element(ys[k], w.d), field_element(zs[k], w.d)
+            report.fail(
+                {"w": w, "x": x, "y": y, "z": z, "m": m},
+                f"w(y - x) > {m}",
+                str(w.value(y - x)),
+            )
     return report
 
 
@@ -142,15 +150,14 @@ def check_hausdorff_witnesses(seed: int, instances: int = 20, samples: int = 100
         report.record()  # each point lies in its own ball: w(0) = ∞ > m
         half = max(1, samples // 2)
         for own, other in ((ball_x, ball_y), (ball_y, ball_x)):
-            members = ball_members(own, rng, half)
-            for z, in_other in zip(members, other.contains_all(members)):
-                report.record()
-                if in_other:
-                    report.fail(
-                        {"w": w, "x": x, "y": y, "z": z, "m": m},
-                        "balls are disjoint",
-                        "z lies in both",
-                    )
+            members = member_triples(own, rng, half)
+            report.record(len(members))
+            for k in np.flatnonzero(other.contains_all(members)):
+                report.fail(
+                    {"w": w, "x": x, "y": y, "z": field_element(members[k], w.d), "m": m},
+                    "balls are disjoint",
+                    "z lies in both",
+                )
     return report
 
 
@@ -175,15 +182,14 @@ def check_clopen_separation(seed: int, instances: int = 20, samples: int = 100) 
                 "y inside",
             )
             continue
-        members = ball_members(Ball(w, y, m, strict=True), rng, samples)
-        for z, in_x in zip(members, ball_x.contains_all(members)):
-            report.record()
-            if in_x:
-                report.fail(
-                    {"w": w, "x": x, "y": y, "z": z, "m": m},
-                    "U_m(y) misses U_m(x) for outside y",
-                    "z lies in both",
-                )
+        members = member_triples(Ball(w, y, m, strict=True), rng, samples)
+        report.record(len(members))
+        for k in np.flatnonzero(ball_x.contains_all(members)):
+            report.fail(
+                {"w": w, "x": x, "y": y, "z": field_element(members[k], w.d), "m": m},
+                "U_m(y) misses U_m(x) for outside y",
+                "z lies in both",
+            )
     return report
 
 
@@ -211,15 +217,14 @@ def check_closed_ball_dichotomy(seed: int, instances: int = 20, samples: int = 1
                     side.value,
                 )
                 continue
-            members = ball_members(translated, rng, samples // 2)
-            for z, inside in zip(members, ball.contains_all(members)):
-                report.record()
-                if inside != (side is Side.INSIDE):
-                    report.fail(
-                        {"w": w, "x": x, "y": y, "z": z, "m": m},
-                        f"translated ball stays {side.value}",
-                        f"member on the {('outside' if side is Side.INSIDE else 'inside')}",
-                    )
+            members = member_triples(translated, rng, samples // 2)
+            report.record(len(members))
+            for k in np.flatnonzero(ball.contains_all(members) != (side is Side.INSIDE)):
+                report.fail(
+                    {"w": w, "x": x, "y": y, "z": field_element(members[k], w.d), "m": m},
+                    f"translated ball stays {side.value}",
+                    f"member on the {('outside' if side is Side.INSIDE else 'inside')}",
+                )
     return report
 
 
@@ -251,15 +256,15 @@ def check_integer_refinement(seed: int, instances: int = 20, samples: int = 100)
                 report.fail({"w": w, "x": x, "y": y, "m": m},
                             "sampled member lies in the strict ball", str(exc))
                 continue
-            members = ball_members(piece, rng, 10)
-            for z, inside in zip(members, ball.contains_all(members)):
-                report.record()
-                if not inside:
-                    report.fail(
-                        {"w": w, "x": x, "y": y, "z": z, "m": m, "alpha": refinement.alpha},
-                        "closed piece stays inside the strict ball",
-                        "member escaped",
-                    )
+            members = member_triples(piece, rng, 10)
+            report.record(len(members))
+            for k in np.flatnonzero(~ball.contains_all(members)):
+                report.fail(
+                    {"w": w, "x": x, "y": y, "z": field_element(members[k], w.d), "m": m,
+                     "alpha": refinement.alpha},
+                    "closed piece stays inside the strict ball",
+                    "member escaped",
+                )
     return report
 
 
@@ -270,15 +275,16 @@ def check_threshold_chain(seed: int, instances: int = 20, samples: int = 100) ->
     report = PropertyReport(lemma="2.17", seed=seed)
     for _ in range(instances):
         w = _pick(pool, rng)
-        xs = elements_for(w, rng, samples)
-        thresholds: list[Fraction] = []
+        xs = deck_triples(w.d, rng, samples)
+        thresholds = []  # a = num/den as a triple over Q
         while len(thresholds) < samples:
-            a = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-            if a != 0:
-                thresholds.append(a)
+            num, den = rng.randint(-30, 30), rng.randint(1, 12)
+            if num:
+                thresholds.append(reduced(num, 0, den))
         report.record(samples)
         for x, a, conditions in zip(xs, thresholds, membership_scaling_rows(w, xs, thresholds)):
             if len(set(conditions)) != 1:
+                x, a = field_element(x, w.d), field_element(a, None)
                 report.fail({"w": w, "x": x, "a": a}, "four-way agreement",
                             threshold_disagreement(w, x, a, conditions))
     return report

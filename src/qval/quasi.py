@@ -27,8 +27,8 @@ from .errors import DomainError, PropertyViolation
 from .primes import factorize, is_prime
 from .quadratic import as_quad, as_rational
 from .report import PropertyReport
-from .triples import (QuasiValuation, clamp_inf, minimum, multiplicity, require_quasi_valuation,
-                      times)
+from .triples import (QuasiValuation, clamp_inf, field_triple, minimum, multiplicity,
+                      require_quasi_valuation, times)
 from .valuations import (ExtendedValuation, PAdicValuation, SplitKind, extensions_of,
                          split_pair_value)
 from .values import Value
@@ -300,12 +300,13 @@ class QVRing:
     qv: object
 
     def contains(self, x) -> bool:
-        return self.qv.value(coerce_to_field(self.qv, x)) >= 0
+        """x ∈ O_w: the one-point case of ``contains_all``, on Python ints."""
+        return batch.point_clears(self.qv, (0, 0, 1), field_triple(x, self.qv.d), 0)
 
-    def contains_all(self, points) -> list[bool]:
-        """``[self.contains(x) for x in points]``, from one integer row of values."""
-        values, infinite = batch.gauge_matrix(self.qv, [0], points)
-        return (infinite[0] | (values[0] >= 0)).tolist()
+    def contains_all(self, points):
+        """``contains`` for every point triple, as a bool array, from one integer row of values."""
+        values, infinite = batch.gauge_matrix(self.qv, [(0, 0, 1)], points)
+        return batch.clears(self.qv, values[0], infinite[0], 0)
 
     def __str__(self) -> str:
         return f"ring[{self.qv}]"

@@ -5,83 +5,114 @@ generated members.  Members of a ball around y are produced as y + g·t
 where g comes from ``value_witness`` (so w(g) clears the bound) and t runs
 over nonzero integer-coordinate elements, whose value is ≥ 0 under every
 constructor here; superadditivity then keeps w(g·t) above the bound.
-All generators take an explicit ``random.Random`` so runs are reproducible
-from a recorded seed.
+
+Each draw yields reduced integer triples (A, B, Q) (see ``triples``):
+``deck_triples`` for sample decks, ``grid_point`` for t, and
+``member_triples`` for ball members, where g is a rational power p^e so
+that y + g·t is formed in closed form on Python ints (``shifted``).  The
+lemma checks carry these triples to the gauge rows and build a field
+element only for a point they report or center a ball on.
+``rationals``, ``quad_elements``, ``elements_for``, ``ball_members`` and
+``shift_above`` build the elements of the same draws.  All generators take
+an explicit ``random.Random`` so runs are reproducible from a recorded seed.
 """
 
 import math
 import random
 from fractions import Fraction
 
-from .quadratic import QuadElem, _elem
+from .quadratic import QuadElem, validate_discriminant
 from .quasi import coerce_to_field, graded_element, value_witness
+from .triples import field_element, field_triple, reduced
+
+Triple = tuple[int, int, int]
+
+
+def deck_triples(d: int | None, rng: random.Random, count: int, num_bound: int = 30,
+                 den_bound: int = 12, include_zero: bool = True) -> list[Triple]:
+    """Random elements of Q (d is None) or Q(√d) as reduced triples: 0, ±1 and, over
+    Q(√d), √d, then reduced fractions with bounded numerator and denominator in each
+    coordinate."""
+    deck = [(0, 0, 1)] if include_zero else []
+    deck += [(1, 0, 1), (-1, 0, 1)] if d is None else [(1, 0, 1), (-1, 0, 1), (0, 1, 1)]
+    if d is not None:
+        validate_discriminant(d)
+    while len(deck) < count:
+        a, a_den = rng.randint(-num_bound, num_bound), rng.randint(1, den_bound)
+        if d is None:
+            deck.append(reduced(a, 0, a_den))
+        else:  # a/a_den + (b/b_den)·√d as one integer triple
+            b, b_den = rng.randint(-num_bound, num_bound), rng.randint(1, den_bound)
+            deck.append(reduced(a * b_den, b * a_den, a_den * b_den))
+    return deck[:count]
 
 
 def rationals(rng: random.Random, count: int, num_bound: int = 30, den_bound: int = 12,
               include_zero: bool = True) -> list[Fraction]:
     """Random reduced fractions with bounded numerator and denominator."""
-    deck: list[Fraction] = []
-    if include_zero:
-        deck.append(Fraction(0))
-    deck.extend((Fraction(1), Fraction(-1)))
-    while len(deck) < count:
-        num = rng.randint(-num_bound, num_bound)
-        den = rng.randint(1, den_bound)
-        deck.append(Fraction(num, den))
-    return deck[:count]
+    deck = deck_triples(None, rng, count, num_bound, den_bound, include_zero)
+    return [field_element(t, None) for t in deck]
 
 
 def quad_elements(rng: random.Random, d: int, count: int, num_bound: int = 30,
                   den_bound: int = 12, include_zero: bool = True) -> list[QuadElem]:
     """Random elements of Q(√d), seeded with 0, ±1 and √d."""
-    deck = [QuadElem(0, 0, d)] if include_zero else []
-    deck.extend((QuadElem(1, 0, d), QuadElem(-1, 0, d), QuadElem.root(d)))
-    while len(deck) < count:
-        a, a_den = rng.randint(-num_bound, num_bound), rng.randint(1, den_bound)
-        b, b_den = rng.randint(-num_bound, num_bound), rng.randint(1, den_bound)
-        # a/a_den + (b/b_den)·√d as one integer triple; d was validated above
-        deck.append(_elem(a * b_den, b * a_den, a_den * b_den, d))
-    return deck[:count]
+    deck = deck_triples(d, rng, count, num_bound, den_bound, include_zero)
+    return [field_element(t, d) for t in deck]
 
 
 def elements_for(w, rng: random.Random, count: int, num_bound: int = 30,
                  den_bound: int = 12, include_zero: bool = True):
     """Sample from w's field: rationals on Q, quadratic elements on Q(√d)."""
-    if w.d is None:
-        return rationals(rng, count, num_bound, den_bound, include_zero)
-    return quad_elements(rng, w.d, count, num_bound, den_bound, include_zero)
+    deck = deck_triples(w.d, rng, count, num_bound, den_bound, include_zero)
+    return [field_element(t, w.d) for t in deck]
 
 
-def _integer_grid_element(w, rng: random.Random, bound: int = 9):
-    """A nonzero element with integer coordinates, hence w(t) ≥ 0."""
+def grid_point(w, rng: random.Random, bound: int = 9) -> tuple[int, int]:
+    """The integer coordinates (a, b) of a nonzero t = a + b·√d (b = 0 on Q), hence w(t) ≥ 0."""
     if w.d is None:
-        return Fraction(rng.randint(1, bound) * rng.choice((1, -1)))
+        return rng.randint(1, bound) * rng.choice((1, -1)), 0
     while True:
         a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
         if a or b:
-            return _elem(a, b, 1, w.d)
+            return a, b
 
 
-def _witness_above(w, bound: Fraction, strict: bool):
-    """A g in w's field with w(g) > bound (strict) or ≥ bound (closed); no
+def shifted(c: Triple, g: Fraction, t: tuple[int, int]) -> Triple:
+    """c + g·t as a reduced triple, for a triple c, a rational g and grid coordinates t."""
+    (a, b, q), (ta, tb) = c, t
+    n, m = g.numerator, g.denominator
+    return reduced(a * m + q * n * ta, b * m + q * n * tb, q * m)
+
+
+def _witness_above(w, bound: Fraction, strict: bool) -> Fraction:
+    """A rational g with w(g) > bound (strict) or ≥ bound (closed); no
     randomness, so it depends on (w, bound, strict) alone."""
     target = Fraction(math.floor(bound) + 1) if strict else Fraction(math.ceil(bound))
-    return coerce_to_field(w, value_witness(w, target))
+    return value_witness(w, target)
 
 
 def shift_above(w, bound: Fraction, rng: random.Random, strict: bool):
     """A nonzero g·t with w(g·t) > bound (strict) or ≥ bound (closed)."""
-    return _witness_above(w, bound, strict) * _integer_grid_element(w, rng)
+    g = _witness_above(w, bound, strict)
+    return field_element(shifted((0, 0, 1), g, grid_point(w, rng)), w.d)
+
+
+def member_triples(ball, rng: random.Random, count: int) -> list[Triple]:
+    """Generated members of the ball as triples: the center, then center + g·t for
+    count − 1 draws of t, with one witness g per ball."""
+    w = ball.qv
+    center = field_triple(ball.center, w.d)
+    members = [center]
+    if count > 1:
+        g = _witness_above(w, ball.bound, ball.strict)
+        members.extend(shifted(center, g, grid_point(w, rng)) for _ in range(count - 1))
+    return members
 
 
 def ball_members(ball, rng: random.Random, count: int) -> list:
     """Generated members of the ball (the center plus admissible shifts)."""
-    members = [ball.center]
-    if count > 1:
-        w, center = ball.qv, ball.center
-        g = _witness_above(w, ball.bound, ball.strict)  # one witness per ball
-        members.extend(center + g * _integer_grid_element(w, rng) for _ in range(count - 1))
-    return members
+    return [field_element(t, ball.qv.d) for t in member_triples(ball, rng, count)]
 
 
 def element_at_exact_value(w, e: int):

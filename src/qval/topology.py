@@ -9,13 +9,17 @@ against a closed ball (whose translate then lies entirely inside or
 entirely outside), refine a strict ball to closed balls with integer
 bounds, and compare two quasi-valuations that share a ring.
 
-Where many points meet one bound, each gauge w(y − c) is evaluated once
-per (center, point), as an integer matrix (``batch.gauge_matrix``), and
-compared against the bound as an integer: ``Ball.contains_all`` for the
-members of one ball (lemma 2.10's overlap bound among them),
-``membership_scaling_rows`` for the four readings of lemma 2.17's
-threshold chain, one row each, and ``ring_value_equivalence`` for every
-sample, threshold and sampled center at once.
+Membership compares the gauge w(y − c), an integer scaled by the value
+denominator, against the bound as an integer (``batch.clears``).  Where
+many points meet one bound, the points come as the integer triples the
+samplers draw (``triples.field_triple`` converts an element), and each
+gauge is evaluated once per (center, point), as an integer matrix
+(``batch.gauge_matrix``): ``Ball.contains_all`` for the members of one ball
+(lemma 2.10's overlap bound among them), ``membership_scaling_rows`` for
+the four readings of lemma 2.17's threshold chain, one row each, and
+``ring_value_equivalence`` for every sample, threshold and sampled center
+at once.  ``Ball.contains`` and ``QVRing.contains`` are the one-point case,
+on Python ints; ``Ball.gauge`` builds the ``Value`` for display.
 """
 
 import enum
@@ -25,10 +29,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .batch import gauge_matrix
+from .batch import clears, gauge_matrix, point_clears
 from .errors import DomainError, PropertyViolation
 from .quasi import QVRing, coerce_to_field
 from .report import PropertyReport
+from .triples import field_triple, reduced
 from .valuations import PAdicValuation
 from .values import Value
 
@@ -58,13 +63,16 @@ class Ball:
         return self.qv.value(y - self.center)
 
     def contains(self, y) -> bool:
-        g = self.gauge(y)
-        return g > self.bound if self.strict else g >= self.bound
+        """y lies in the ball: the one-point case of ``contains_all``, on Python ints."""
+        d = self.qv.d
+        return point_clears(self.qv, field_triple(self.center, d), field_triple(y, d),
+                            self.bound, self.strict)
 
-    def contains_all(self, points) -> list[bool]:
-        """``[self.contains(y) for y in points]``, from one row of gauges."""
-        gauges, infinite = gauge_matrix(self.qv, [self.center], points)
-        return _clears(self.qv, gauges[0], infinite[0], self.bound, self.strict).tolist()
+    def contains_all(self, points):
+        """``contains`` for every point triple, as a bool array, from one row of gauges."""
+        center = field_triple(self.center, self.qv.d)
+        gauges, infinite = gauge_matrix(self.qv, [center], points)
+        return clears(self.qv, gauges[0], infinite[0], self.bound, self.strict)
 
     def __contains__(self, y) -> bool:
         return self.contains(y)
@@ -72,15 +80,6 @@ class Ball:
     def __str__(self) -> str:
         kind = "U" if self.strict else "closedU"
         return f"{kind}_{self.bound}({self.center}; {self.qv})"
-
-
-def _clears(w, gauges, infinite, bound, strict: bool = False):
-    """Entrywise w > bound (strict) or w ≥ bound, for scaled integer gauges
-    g = w·den: the least passing g is floor(bound·den) + 1 or ceil(bound·den),
-    and ∞ passes wherever ``infinite`` holds."""
-    scaled = Fraction(bound) * w.value_denominator
-    least = math.floor(scaled) + 1 if strict else math.ceil(scaled)
-    return infinite | (gauges >= least)
 
 
 def recenter(first: Ball, second: Ball, y) -> Ball:
@@ -175,27 +174,34 @@ def _require_extended_prime(w) -> int:
     return p
 
 
+def _over(x, a):
+    """x·a⁻¹ as a reduced triple, for a triple x and a nonzero rational triple a."""
+    (xa, xb, xq), (n, _, m) = x, a
+    s = m if n > 0 else -m
+    return reduced(xa * s, xb * s, xq * abs(n))
+
+
 def membership_scaling_rows(w, xs, thresholds) -> list[tuple[bool, bool, bool, bool]]:
     """The readings (a)–(d) of ``membership_scaling_chain`` for each pair (x, a),
-    each from its own row: w(x) against the ``PAdicValuation(p)`` row of v(a) for
-    (a) and (b), w(x·a⁻¹) for (c), ``QVRing.contains_all`` for (d)."""
+    given as triples of w's field and of Q, each from its own row: w(x) against
+    the ``PAdicValuation(p)`` row of v(a) for (a) and (b), w(x·a⁻¹) for (c),
+    ``QVRing.contains_all`` for (d)."""
     if len(xs) != len(thresholds):
         raise DomainError(f"{len(xs)} elements against {len(thresholds)} thresholds")
-    thresholds = [Fraction(a) for a in thresholds]
-    if not all(thresholds):
+    if not all(a for a, _, _ in thresholds):
         raise DomainError("the threshold element a must be nonzero")
     p = _require_extended_prime(w)
-    xs = [coerce_to_field(w, x) for x in xs]
     den = w.value_denominator
-    (va,), _ = gauge_matrix(PAdicValuation(p), [0], thresholds)
-    (wx,), (x_zero,) = gauge_matrix(w, [0], xs)
-    scaled = [x / a for x, a in zip(xs, thresholds)]
-    (wxa,), (xa_zero,) = gauge_matrix(w, [0], scaled)
+    origin = [(0, 0, 1)]
+    (va,), _ = gauge_matrix(PAdicValuation(p), origin, thresholds)
+    (wx,), (x_zero,) = gauge_matrix(w, origin, xs)
+    scaled = [_over(x, a) for x, a in zip(xs, thresholds)]
+    (wxa,), (xa_zero,) = gauge_matrix(w, origin, scaled)
     return list(zip(
         (x_zero | (wx >= va * den)).tolist(),
         (x_zero | (wx - va * den >= 0)).tolist(),
         (xa_zero | (wxa >= 0)).tolist(),
-        QVRing(w).contains_all(scaled),
+        QVRing(w).contains_all(scaled).tolist(),
     ))
 
 
@@ -209,7 +215,7 @@ def membership_scaling_chain(w, x, a) -> bool:
     Disagreement would mean a broken constructor and raises.  This is the
     one-pair case of ``membership_scaling_rows``.
     """
-    (conditions,) = membership_scaling_rows(w, [x], [a])
+    (conditions,) = membership_scaling_rows(w, [field_triple(x, w.d)], [field_triple(a, None)])
     if len(set(conditions)) != 1:
         raise PropertyViolation(threshold_disagreement(w, x, a, conditions))
     return conditions[0]
@@ -244,10 +250,11 @@ def ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6),
         return report
 
     samples = [coerce_to_field(w1, x) for x in samples]
+    t1, t2 = ([field_triple(x, w.d) for x in samples] for w in (w1, w2))
     # w(x) is the gauge of x around the center 0, one row per constructor
-    row1 = [m[0] for m in gauge_matrix(w1, [0], samples)]
-    row2 = [m[0] for m in gauge_matrix(w2, [0], samples)]
-    ring1, ring2 = _clears(w1, *row1, 0), _clears(w2, *row2, 0)
+    row1 = [m[0] for m in gauge_matrix(w1, [(0, 0, 1)], t1)]
+    row2 = [m[0] for m in gauge_matrix(w2, [(0, 0, 1)], t2)]
+    ring1, ring2 = clears(w1, *row1, 0), clears(w2, *row2, 0)
     report.record(len(samples))
     disagree = np.flatnonzero(ring1 != ring2)
     for i in disagree:
@@ -262,7 +269,7 @@ def ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6),
 
     def over_grid(w, gauges, infinite):
         """w ≥ alpha for every alpha of the grid, the grid on a new axis 1."""
-        return np.stack([_clears(w, gauges, infinite, alpha) for alpha in alphas], axis=1)
+        return np.stack([clears(w, gauges, infinite, alpha) for alpha in alphas], axis=1)
 
     at1, at2 = over_grid(w1, *row1), over_grid(w2, *row2)
     report.record(at1.size)
@@ -274,9 +281,10 @@ def ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6),
         )
 
     # closed balls with integer bounds around sampled centers agree pointwise
-    centers = samples[:: max(1, len(samples) // 8)]
-    in1 = over_grid(w1, *gauge_matrix(w1, centers, samples))
-    in2 = over_grid(w2, *gauge_matrix(w2, centers, samples))
+    step = max(1, len(samples) // 8)
+    centers = samples[::step]
+    in1 = over_grid(w1, *gauge_matrix(w1, t1[::step], t1))
+    in2 = over_grid(w2, *gauge_matrix(w2, t2[::step], t2))
     report.record(in1.size)
     for c, k, j in np.argwhere(in1 != in2):
         report.fail(

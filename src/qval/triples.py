@@ -2,7 +2,9 @@
 
 An element of Q or Q(√d) is carried as integers x = (A + B·√d)/Q with
 Q ≥ 1, not necessarily reduced: a ``QuadElem`` stores its reduced triple,
-but the sums and products the batch engine forms stay unreduced.  Every
+but the sums and products the batch engine forms stay unreduced
+(``reduced`` divides a triple down to its element's one triple, and
+``field_element`` builds the element back).  Every
 constructor subclasses ``QuasiValuation`` and evaluates triples in one
 method, ``triple_value(a, b, q)``, which returns w(x)·value_denominator as
 an integer, with the sentinel ``INF`` where w(x) = ∞.  The same code runs
@@ -27,12 +29,13 @@ divide only the entries still divisible.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
 from .errors import DomainError
 from .primes import int_valuation
-from .quadratic import as_quad, as_rational
+from .quadratic import _elem, as_quad, as_rational
 from .values import INFINITY, Value
 
 INF = 1 << 40
@@ -47,6 +50,19 @@ def field_triple(x, d: int | None) -> tuple[int, int, int]:
         return x.numerator, 0, x.denominator
     x = as_quad(x, d)
     return x.A, x.B, x.Q
+
+
+def field_element(t: tuple[int, int, int], d: int | None):
+    """The element with integer triple t (Q ≥ 1) over Q (d is None, B = 0) or over Q(√d),
+    where d is already validated: the inverse of ``field_triple``."""
+    a, b, q = t
+    return Fraction(a, q) if d is None else _elem(a, b, q, d)
+
+
+def reduced(a: int, b: int, q: int) -> tuple[int, int, int]:
+    """The triple (a, b, q), q ≥ 1, divided by gcd(a, b, q): the one triple of its element."""
+    g = gcd(a, b, q)
+    return (a, b, q) if g == 1 else (a // g, b // g, q // g)
 
 
 class QuasiValuation:

@@ -60,7 +60,7 @@ def test_engine_declines_unknown_constructors():
     w = LooksLikeV2()
     for refused in (lambda: batch.pairwise_axiom_check(w, [Fraction(1)]),
                     lambda: check_axioms(w, [Fraction(1), Fraction(2)]),
-                    lambda: batch.gauge_matrix(w, [Fraction(0)], [Fraction(1)])):
+                    lambda: batch.gauge_matrix(w, [(0, 0, 1)], [(1, 0, 1)])):
         with pytest.raises(DomainError, match="not a QuasiValuation"):
             refused()
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -5,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from qval import cli, lemmas
-from qval.errors import PropertyViolation
+from qval.errors import DomainError, PropertyViolation
 from qval.lemmas import (LEMMA_IDS, _one_element, _pick, _random_bound, constructor_pool,
                          run_lemma)
 from qval.quasi import QVRing
 from qval.report import PropertyReport
-from qval.sampling import elements_for, shift_above
+from qval.sampling import ball_members, elements_for, shift_above, shift_below
+from qval.topology import (Ball, Side, dichotomy, integer_refinement, recenter,
+                           separation_witness)
 from qval.triples import QuasiValuation
 from qval.valuations import ExtendedValuation, PAdicValuation, v_p
 
@@ -181,6 +184,183 @@ def _raised_at_odd_multiples_of_3(v, a):
     return v + (a % 2 != 0) * (a % 3 == 0)
 
 
+# The element loops of the ball checks that the rows replace: every member is
+# an element and meets the ball through Ball.contains.  They take the pool
+# from the lemmas module at call time, so a test may replace it.
+
+def _element_deck_one(w, rng):
+    return elements_for(w, rng, 8, include_zero=False)[-1]
+
+
+def _reference_recentering(seed, instances, samples):
+    rng = random.Random(seed)
+    pool = lemmas.constructor_pool()
+    report = PropertyReport(lemma="2.2", seed=seed)
+    for _ in range(instances):
+        w = _pick(pool, rng)
+        y = _element_deck_one(w, rng)
+        bounds = sorted((_random_bound(rng), _random_bound(rng)))
+        first = Ball(w, y - shift_above(w, bounds[0], rng, strict=True), bounds[0])
+        second = Ball(w, y - shift_above(w, bounds[1], rng, strict=True), bounds[1])
+        try:
+            ball = recenter(first, second, y)
+        except DomainError as exc:
+            report.record()
+            report.fail({"w": w, "y": y, "m1": bounds[0], "m2": bounds[1]},
+                        "y lies in both balls", str(exc))
+            continue
+        for z in ball_members(ball, rng, samples):
+            report.record()
+            in_first, in_second = first.contains(z), second.contains(z)
+            if not (in_first and in_second):
+                report.fail({"w": w, "y": y, "z": z, "m1": bounds[0], "m2": bounds[1]},
+                            "recentered ball lies inside both balls",
+                            f"in first: {in_first}, in second: {in_second}")
+    return report
+
+
+def _reference_hausdorff_witnesses(seed, instances, samples):
+    rng = random.Random(seed)
+    pool = lemmas.constructor_pool()
+    report = PropertyReport(lemma="2.11", seed=seed)
+    for _ in range(instances):
+        w = _pick(pool, rng)
+        x, y = _element_deck_one(w, rng), _element_deck_one(w, rng)
+        if x == y:
+            y = y + 1
+        m, ball_x, ball_y = separation_witness(w, x, y)
+        report.record()
+        for own, other in ((ball_x, ball_y), (ball_y, ball_x)):
+            for z in ball_members(own, rng, max(1, samples // 2)):
+                report.record()
+                if other.contains(z):
+                    report.fail({"w": w, "x": x, "y": y, "z": z, "m": m},
+                                "balls are disjoint", "z lies in both")
+    return report
+
+
+def _reference_clopen_separation(seed, instances, samples):
+    rng = random.Random(seed)
+    pool = lemmas.constructor_pool()
+    report = PropertyReport(lemma="2.12", seed=seed)
+    for _ in range(instances):
+        w = _pick(pool, rng)
+        x = _element_deck_one(w, rng)
+        m = _random_bound(rng)
+        ball_x = Ball(w, x, m, strict=True)
+        shift, gauge = shift_below(w, m, strict_ball=True)
+        y = x + shift
+        report.record()
+        if ball_x.contains(y):
+            report.fail({"w": w, "x": x, "y": y, "m": m},
+                        f"y built with w(y-x) = {gauge} <= m stays outside", "y inside")
+            continue
+        for z in ball_members(Ball(w, y, m, strict=True), rng, samples):
+            report.record()
+            if ball_x.contains(z):
+                report.fail({"w": w, "x": x, "y": y, "z": z, "m": m},
+                            "U_m(y) misses U_m(x) for outside y", "z lies in both")
+    return report
+
+
+def _reference_closed_ball_dichotomy(seed, instances, samples):
+    rng = random.Random(seed)
+    pool = lemmas.constructor_pool()
+    report = PropertyReport(lemma="2.14", seed=seed)
+    for _ in range(instances):
+        w = _pick(pool, rng)
+        x = _element_deck_one(w, rng)
+        m = _random_bound(rng)
+        ball = Ball(w, x, m, strict=False)
+        inside_y = x + shift_above(w, m, rng, strict=False)
+        outside_y = x + shift_below(w, m, strict_ball=False)[0]
+        for y, expected in ((inside_y, Side.INSIDE), (outside_y, Side.OUTSIDE), (x, Side.INSIDE)):
+            side, translated = dichotomy(ball, y)
+            report.record()
+            if side is not expected:
+                report.fail({"w": w, "x": x, "y": y, "m": m},
+                            f"constructed point classifies as {expected.value}", side.value)
+                continue
+            for z in ball_members(translated, rng, samples // 2):
+                report.record()
+                if ball.contains(z) != (side is Side.INSIDE):
+                    report.fail({"w": w, "x": x, "y": y, "z": z, "m": m},
+                                f"translated ball stays {side.value}",
+                                f"member on the {('outside' if side is Side.INSIDE else 'inside')}")
+    return report
+
+
+def _reference_integer_refinement(seed, instances, samples):
+    rng = random.Random(seed)
+    pool = lemmas.constructor_pool()
+    report = PropertyReport(lemma="2.15", seed=seed)
+    for _ in range(instances):
+        w = _pick(pool, rng)
+        x = _element_deck_one(w, rng)
+        m = _random_bound(rng)
+        ball = Ball(w, x, m, strict=True)
+        refinement = integer_refinement(ball)
+        report.record()
+        for y in ball_members(ball, rng, max(2, samples // 10)):
+            try:
+                piece = refinement.closed_piece(y)
+            except DomainError as exc:
+                report.record()
+                report.fail({"w": w, "x": x, "y": y, "m": m},
+                            "sampled member lies in the strict ball", str(exc))
+                continue
+            for z in ball_members(piece, rng, 10):
+                report.record()
+                if not ball.contains(z):
+                    report.fail({"w": w, "x": x, "y": y, "z": z, "m": m,
+                                 "alpha": refinement.alpha},
+                                "closed piece stays inside the strict ball", "member escaped")
+    return report
+
+
+BALL_REFERENCES = {
+    "2.2": _reference_recentering,
+    "2.11": _reference_hausdorff_witnesses,
+    "2.12": _reference_clopen_separation,
+    "2.14": _reference_closed_ball_dichotomy,
+    "2.15": _reference_integer_refinement,
+}
+
+
+def _corrupt(monkeypatch, setup):
+    """Apply one corruption: by value on a pool class, or a corrupted v_2 as the whole pool."""
+    if setup is None:
+        return
+    if isinstance(setup, tuple):
+        cls, corruption = setup
+        honest = cls.triple_value
+        monkeypatch.setattr(cls, "triple_value",
+                            lambda self, a, b, q: corruption(honest(self, a, b, q)))
+        return
+    w = _CorruptedV2(setup)
+    monkeypatch.setattr(lemmas, "constructor_pool", lambda extending_only=False: [w])
+
+
+# _raised_at_odd_multiples_of_3 reads the numerator a of the triple it is given,
+# not the element: a row evaluates y − c as (yA·cQ − cA·yQ, ..., yQ·cQ) and
+# Ball.contains, like value(), its reduced triple, so the two loops see different
+# numbers there.  Its reports are pinned by hash below instead.
+@pytest.mark.parametrize("setup", [
+    None, (PAdicValuation, _lower_odd), (ExtendedValuation, _lower_two_mod_three),
+    _halved, _doubled,
+], ids=["honest", "vp-lower-odd", "ext-lower-two-mod-three", "v2-halved", "v2-doubled"])
+def test_ball_rows_match_the_element_loops(monkeypatch, setup):
+    _corrupt(monkeypatch, setup)
+    failures = 0
+    for lemma_id, reference in BALL_REFERENCES.items():
+        for seed in range(4):
+            for instances, samples in ((3, 30), (10, 6), (2, 1), (1, 0)):
+                got = run_lemma(lemma_id, seed, instances, samples).to_dict()
+                assert got == reference(seed, instances, samples).to_dict(), (lemma_id, seed)
+                failures += len(got["failures"])
+    assert (failures > 0) == (setup is not None)
+
+
 MEMBER_INPUTS = frozenset("mwxyz")  # a sampled member z broke the claim
 POINT_INPUTS = frozenset("mwxy")  # the constructed point y already did
 RECENTER_INPUTS = frozenset(("w", "y", "m1", "m2"))  # y fell outside a ball it was built in
@@ -230,3 +410,29 @@ def test_separate_reports_a_corrupted_v2(monkeypatch, capsys):
     assert report["failures"]
     assert all(f["inputs"].keys() == {"z"} and f["expected"] == "balls are disjoint"
                and f["got"] == "z lies in both" for f in report["failures"])
+
+
+def _reports_sha256(reports):
+    text = "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in reports)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Recorded with the element-built samplers, before lemma points were carried as
+# triples: any change to a draw, a member, a count or a report text shows here.
+HONEST_REPORTS_SHA256 = "67ef2873bfa402f2699649b9c7d1fd0bcb0af50a4110c57b4119994929b1b7a7"
+CORRUPTED_V2_REPORTS_SHA256 = "a48c460c67e0d3f94b3261dfd730c8a8d5694bbebc7caabc007a5061e0a0413a"
+
+
+def test_lemma_reports_are_pinned():
+    reports = [run_lemma(lemma_id, seed, instances, samples) for lemma_id in sorted(LEMMA_IDS)
+               for seed in range(8) for instances, samples in ((3, 30), (10, 6))]
+    assert _reports_sha256(reports) == HONEST_REPORTS_SHA256
+
+
+def test_corrupted_v2_reports_are_pinned(monkeypatch):
+    reports = []
+    for corruption in (_halved, _doubled, _raised_at_odd_multiples_of_3):
+        _corrupt(monkeypatch, corruption)
+        reports.extend(run_lemma(lemma_id, seed, 4, 20) for lemma_id in sorted(LEMMA_IDS)
+                       if lemma_id != "2.18" for seed in range(6))
+    assert _reports_sha256(reports) == CORRUPTED_V2_REPORTS_SHA256

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,11 @@ import pytest
 from qval.errors import DomainError
 from qval.lemmas import constructor_pool
 from qval.quadratic import QuadElem
-from qval.sampling import _integer_grid_element, quad_elements
+from qval.quasi import coerce_to_field, value_witness
+from qval.sampling import (ball_members, deck_triples, elements_for, grid_point, member_triples,
+                           quad_elements)
+from qval.topology import Ball
+from qval.triples import field_element, field_triple
 
 
 # The samplers as they were written with Fractions and the public constructor:
@@ -69,6 +74,63 @@ def test_grid_elements_match_the_fraction_built_sampler():
         for w in constructor_pool():
             for bound in (9, 1, 4):
                 for _ in range(20):
-                    _same(_integer_grid_element(w, new, bound),
+                    _same(field_element((*grid_point(w, new, bound), 1), w.d),
                           _fraction_built_grid_element(w, old, bound))
         assert new.getstate() == old.getstate()
+
+
+# Lemma points are drawn as triples; each must be the triple of the element the
+# element-built samplers drew from the same rng calls, leaving the same rng state.
+
+def _fraction_built_deck(w, rng, count, include_zero):
+    if w.d is not None:
+        return _fraction_built_quad_elements(rng, w.d, count, include_zero=include_zero)
+    deck = [Fraction(0)] if include_zero else []
+    deck.extend((Fraction(1), Fraction(-1)))
+    while len(deck) < count:
+        num = rng.randint(-30, 30)
+        deck.append(Fraction(num, rng.randint(1, 12)))
+    return deck[:count]
+
+
+def _element_built_members(ball, rng, count):
+    """center + g·t in field arithmetic, g the witness of the ball's bound."""
+    w, bound = ball.qv, ball.bound
+    target = math.floor(bound) + 1 if ball.strict else math.ceil(bound)
+    g = coerce_to_field(w, value_witness(w, target))
+    members = [ball.center]
+    if count > 1:
+        members.extend(ball.center + g * _fraction_built_grid_element(w, rng)
+                       for _ in range(count - 1))
+    return members
+
+
+def test_deck_triples_replay_the_element_decks():
+    for w in constructor_pool():
+        for seed in range(20):
+            rngs = [random.Random(seed) for _ in range(3)]
+            for include_zero in (True, False):
+                for count in range(9):
+                    triples = deck_triples(w.d, rngs[0], count, include_zero=include_zero)
+                    built = elements_for(w, rngs[1], count, include_zero=include_zero)
+                    want = _fraction_built_deck(w, rngs[2], count, include_zero)
+                    assert triples == [field_triple(x, w.d) for x in want], (w, seed, count)
+                    assert built == want
+            assert len({rng.getstate() for rng in rngs}) == 1
+
+
+def test_member_triples_replay_the_element_built_members():
+    for w in constructor_pool():
+        for seed in range(20):
+            center = elements_for(w, random.Random(seed), 9)[-1]
+            rngs = [random.Random(seed) for _ in range(3)]
+            for strict in (True, False):
+                for twice in range(-8, 17):  # bounds -4..8 in halves
+                    ball = Ball(w, center, Fraction(twice, 2), strict=strict)
+                    count = twice % 5
+                    triples = member_triples(ball, rngs[0], count)
+                    built = ball_members(ball, rngs[1], count)
+                    want = _element_built_members(ball, rngs[2], count)
+                    assert triples == [field_triple(z, w.d) for z in want], (w, ball)
+                    assert [field_triple(z, w.d) for z in built] == triples
+            assert len({rng.getstate() for rng in rngs}) == 1
