@@ -12,7 +12,6 @@ from .approximation import (
 from .errors import (
     DomainError,
     ParseError,
-    PrecisionExceededError,
     PropertyViolation,
     QvalError,
 )
@@ -53,10 +52,7 @@ from .valuations import (
     SplitKind,
     classify,
     extensions_of,
-    get_precision_cap,
     hensel_sqrt,
-    reset_precision_cap,
-    set_precision_cap,
     v_p,
 )
 from .values import INFINITY, Value
@@ -74,7 +70,6 @@ __all__ = [
     "NAdic",
     "PAdicValuation",
     "ParseError",
-    "PrecisionExceededError",
     "PropertyReport",
     "PropertyViolation",
     "QVRing",
@@ -92,7 +87,6 @@ __all__ = [
     "dichotomy",
     "extensions_of",
     "format_element",
-    "get_precision_cap",
     "hensel_sqrt",
     "instability_witness",
     "integer_refinement",
@@ -107,11 +101,9 @@ __all__ = [
     "parse_qv",
     "rational_approx",
     "recenter",
-    "reset_precision_cap",
     "ring_member",
     "ring_value_equivalence",
     "separation_witness",
-    "set_precision_cap",
     "v_p",
     "value_bound",
     "value_witness",

@@ -7,12 +7,11 @@ JSON), 2 on usage errors (bad flags, malformed expressions or specs).
 
 import argparse
 import json
-import os
 import random
 import sys
 
 from .approximation import solve_problem_file
-from .errors import DomainError, ParseError, PrecisionExceededError
+from .errors import DomainError, ParseError
 from .exprparse import format_element, parse_element, parse_rational
 from .lemmas import LEMMA_IDS, run_lemma
 from .quasi import check_axioms
@@ -20,9 +19,6 @@ from .qvspec import GRAMMAR_HELP, parse_qv
 from .report import PropertyReport
 from .sampling import ball_members, elements_for
 from .topology import Ball, separation_witness
-from .valuations import reset_precision_cap, set_precision_cap
-
-PRECISION_ENV = "QVAL_PRECISION_CAP"
 
 
 def count(text: str) -> int:
@@ -42,10 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("table", "json"), default="table",
         help="human-readable tables or machine-readable JSON",
-    )
-    parser.add_argument(
-        "--precision-cap", type=int, default=None,
-        help=f"Hensel precision cap (overrides ${PRECISION_ENV})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -183,24 +175,11 @@ def cmd_lemma(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cap = args.precision_cap
-    if cap is None and os.environ.get(PRECISION_ENV):
-        try:
-            cap = int(os.environ[PRECISION_ENV])
-        except ValueError:
-            print(f"{PRECISION_ENV} must be an integer", file=sys.stderr)
-            return 2
-    token = None
     try:
-        if cap is not None:
-            token = set_precision_cap(cap)  # for this call only
         return args.handler(args)
-    except (ParseError, DomainError, OSError, PrecisionExceededError) as exc:
+    except (ParseError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, PrecisionExceededError) else 2  # a cap reached exits 1
-    finally:
-        if token is not None:
-            reset_precision_cap(token)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,14 +10,6 @@ class DomainError(QvalError):
     (mismatched extension fields, repeated primes, non-squarefree d, ...)."""
 
 
-class PrecisionExceededError(QvalError):
-    """A p-adic computation exceeded the configured precision cap."""
-
-    def __init__(self, message: str, cap: int):
-        super().__init__(message)
-        self.cap = cap
-
-
 class PropertyViolation(QvalError):
     """A property that the library guarantees internally failed to hold.
     Seeing this means an implementation bug, not bad input."""

@@ -29,8 +29,8 @@ from .quadratic import as_quad, as_rational
 from .report import PropertyReport
 from .triples import (QuasiValuation, clamp_inf, field_triple, minimum, multiplicity,
                       require_quasi_valuation, times)
-from .valuations import (ExtendedValuation, PAdicValuation, SplitKind, extensions_of,
-                         split_pair_value)
+from .valuations import (ExtendedValuation, PAdicValuation, SplitKind, content_value,
+                         extensions_of)
 from .values import Value
 
 Valuation = PAdicValuation | ExtendedValuation
@@ -47,7 +47,7 @@ class MinOf(QuasiValuation):
     operations that need w|_Q = v_p reject them.
 
     The two branches of one split (p, d), in either order, are read as the
-    p-content (``valuations.split_pair_value``); other minima member by member.
+    p-content (``valuations.content_value``); other minima member by member.
     """
 
     members: tuple[Valuation, ...]
@@ -84,7 +84,7 @@ class MinOf(QuasiValuation):
 
     def triple_value(self, a, b, q):
         if self._split_pair:
-            return split_pair_value(self.members, a, b, q)
+            return content_value(self.members[0].p, a, b, q)
         scale, zero = self.value_denominator, (a == 0) & (b == 0)
         parts = (times(m.triple_value(a, b, q), scale // m.value_denominator, zero)
                  for m in self.members)

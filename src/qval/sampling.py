@@ -99,15 +99,15 @@ def shift_above(w, bound: Fraction, rng: random.Random, strict: bool):
 
 
 def member_triples(ball, rng: random.Random, count: int) -> list[Triple]:
-    """Generated members of the ball as triples: the center, then center + g·t for
-    count − 1 draws of t, with one witness g per ball."""
+    """count generated members of the ball as triples: the center, then center + g·t
+    for count − 1 draws of t, with one witness g per ball."""
     w = ball.qv
     center = field_triple(ball.center, w.d)
     members = [center]
     if count > 1:
         g = _witness_above(w, ball.bound, ball.strict)
         members.extend(shifted(center, g, grid_point(w, rng)) for _ in range(count - 1))
-    return members
+    return members[:count]
 
 
 def ball_members(ball, rng: random.Random, count: int) -> list:

@@ -77,7 +77,12 @@ class QuasiValuation:
     value_denominator = 1  # every value times this is an integer
 
     def triple_value(self, a, b, q):
-        """w((a + b·√d)/q)·value_denominator on ints or same-shape arrays, INF for ∞."""
+        """w((a + b·√d)/q)·value_denominator on ints or same-shape arrays, INF for ∞.
+
+        The value may depend only on the element, not on the triple that
+        represents it: batch's sums and products and the gauge rows pass
+        unreduced triples.
+        """
         raise NotImplementedError
 
     def value(self, x) -> Value:

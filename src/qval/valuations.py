@@ -11,50 +11,21 @@ A rational prime p behaves in one of three ways in Q(√d):
   two extensions w(A + B·√d) = v_p(A + B·s), one per p-adic root s of d,
   exact in closed form from a seed of s and the norm (see ``_split_value``);
   Hensel lifting (``hensel_sqrt``) is kept as a reference only.  The
-  minimum of the two is the p-content again (``split_pair_value``).
+  minimum of the two is the p-content again (``content_value``).
 
 Every extension restricts on Q to v_p itself; no rescaling is applied.
 """
 
 import enum
-from contextvars import ContextVar, Token
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .errors import DomainError, PrecisionExceededError
+from .errors import DomainError
 from .primes import is_prime, require_prime, sqrt_mod_prime
 from .quadratic import validate_discriminant
 from .triples import (QuasiValuation, clamp_inf, field_triple, formed, least_multiplicity,
                       multiplicity, norm_form, patch)
 from .values import Value
-
-# A policy bound on split values: where a Hensel lift to p^cap could not settle
-# one, PrecisionExceededError.  Caps below 8, where the lift started, are refused.
-MIN_PRECISION_CAP = 8
-DEFAULT_PRECISION_CAP = 2**16
-
-# per context (thread, task, or contextvars.Context.run), so one caller's
-# cap never reaches another
-_precision_cap: ContextVar[int] = ContextVar("precision_cap", default=DEFAULT_PRECISION_CAP)
-
-
-def set_precision_cap(cap: int) -> Token:
-    """Set the cap in the current context; ``reset_precision_cap`` with the
-    returned token restores the previous one."""
-    if cap < MIN_PRECISION_CAP:
-        raise DomainError(f"precision cap must be at least {MIN_PRECISION_CAP}")
-    return _precision_cap.set(cap)
-
-
-def reset_precision_cap(token: Token) -> None:
-    _precision_cap.reset(token)
-
-
-def get_precision_cap() -> int:
-    return _precision_cap.get()
-
 
 def v_p(p: int, x) -> Value:
     """The p-adic valuation of a rational (or rational QuadElem)."""
@@ -212,7 +183,7 @@ class ExtendedValuation(QuasiValuation):
 
     def triple_value(self, a, b, q):
         if self.kind is SplitKind.SPLIT:
-            return self._split_value(a, b, q, _precision_cap.get())
+            return self._split_value(a, b, q)
         if self.kind is SplitKind.INERT:
             return content_value(self.p, a, b, q)
         # ramified: v_p of the norm, which is multiplicative and nonzero off
@@ -220,7 +191,7 @@ class ExtendedValuation(QuasiValuation):
         v_norm = multiplicity(norm_form(a, b, self.d), self.p) - 2 * multiplicity(q, self.p)
         return clamp_inf(v_norm, (a == 0) & (b == 0))
 
-    def _split_value(self, a, b, q, cap: int):
+    def _split_value(self, a, b, q):
         """v_p(A + B·s) − v_p(Q), exactly, for the branch's p-adic root s of d.
 
         The seed agrees with s to 1 + e digits (e = 1 at p = 2, else 0), so
@@ -232,15 +203,9 @@ class ExtendedValuation(QuasiValuation):
 
         def past_one_digit(a, b, vt):  # v_p(B) ≥ 0, so only these can fail the seed test
             vb = multiplicity(b, p)
-            v = patch(vt, vt > vb + e,
-                      lambda a, b, vb: multiplicity(norm_form(a, b, self.d), p) - vb - e, a, b, vb)
-            # a Hensel lift to p^k settles v exactly when v − v_p(B) < k
-            over = v - vb >= cap
-            if over.any() if isinstance(over, np.ndarray) else over:
-                raise PrecisionExceededError(
-                    f"a valuation under {self} was not certified within precision {cap}", cap
-                )
-            return v
+            return patch(vt, vt > vb + e,
+                         lambda a, b, vb: multiplicity(norm_form(a, b, self.d), p) - vb - e,
+                         a, b, vb)
 
         seed = _split_seeds(p, self.d)[self.branch - 1]
         vt = multiplicity(formed(lambda a, b: a + b * seed, a, b), p)
@@ -283,31 +248,6 @@ def content_value(p: int, a, b, q):
     # int64 entries are below INT64_LIMIT, so A − B and 2B fit
     v = least_multiplicity(a - b, 2 * b, 2) if p == 2 else least_multiplicity(a, b, p)
     return clamp_inf(v - multiplicity(q, p), (a == 0) & (b == 0))
-
-
-def split_pair_value(pair, a, b, q):
-    """The minimum of the two branches of one split (p, d), in either order: its content.
-
-    Each branch raises where B ≠ 0 and v_p(A + B·s) − v_p(B) ≥ cap.  Both
-    factors of (A + B·s)(A − B·s) = A² − d·B² are p-integral, so such an
-    entry has v_p(A² − d·B²) ≥ cap and |A² − d·B²| ≥ 2^cap.  Where no norm
-    can be that large nothing raises; elsewhere the branches run, in order,
-    on the entries whose norm p^cap divides, and raise with their own messages.
-    """
-    p, d = pair[0].p, pair[0].d
-    cap = _precision_cap.get()
-    peak_a, peak_b = (int(abs(c).max(initial=0)) if isinstance(c, np.ndarray) else abs(c)
-                      for c in (a, b))
-    if (peak_a * peak_a + abs(d) * peak_b * peak_b).bit_length() > cap:
-        deep = multiplicity(norm_form(a, b, d), p) >= cap
-        entries = (a, b, q)
-        if isinstance(deep, np.ndarray):
-            entries = tuple(c[deep] for c in entries)
-            deep = deep.any()
-        if deep:
-            for branch in pair:
-                branch.triple_value(*entries)
-    return content_value(p, a, b, q)
 
 
 def extensions_of(p: int, d: int) -> tuple[ExtendedValuation, ...]:

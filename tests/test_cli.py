@@ -1,9 +1,7 @@
 import json
-import threading
 
 import pytest
 
-from qval import valuations
 from qval.approximation import dump_problem, ApproxTarget
 from qval.cli import main
 from qval.quadratic import QuadElem
@@ -73,6 +71,13 @@ def test_separate_command(capsys):
                        "--samples", "30")
     assert code == 0
     assert "m = 2" in out
+
+
+def test_separate_counts_one_check_per_sample(capsys):
+    for samples, checks in (("0", 0), ("1", 2), ("2", 4)):
+        code, out, _ = run(capsys, "separate", "--qv", "vp:2", "0", "4", "--samples", samples)
+        assert code == 0
+        assert out.splitlines()[-1] == f"hausdorff-separation: pass [{checks} checks]"
 
 
 def test_lemma_command(capsys):
@@ -204,61 +209,21 @@ def _deep_split_element():
     return f"{hensel_sqrt(7, 2, 12, 1)} - 1*sqrt(2)"
 
 
-def test_precision_cap_failure_exits_one(capsys):
-    code, _, err = run(capsys, "--precision-cap", "8", "eval",
-                       "--qv", "split1:7,d=2", _deep_split_element())
-    assert code == 1
-    assert "precision" in err
-
-
-def test_precision_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("QVAL_PRECISION_CAP", "512")
-    code, _, _ = run(capsys, "eval", "--qv", "vp:2", "6")
-    assert code == 0
-    monkeypatch.setenv("QVAL_PRECISION_CAP", "8")
-    code, _, err = run(capsys, "eval", "--qv", "split1:7,d=2", _deep_split_element())
-    assert code == 1
-    assert "precision" in err
-    monkeypatch.setenv("QVAL_PRECISION_CAP", "not-a-number")
-    assert run(capsys, "eval", "--qv", "vp:2", "6")[0] == 2
-
-
-def test_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("QVAL_PRECISION_CAP", "8")
-    code, out, _ = run(capsys, "--precision-cap", "1024", "eval",
-                       "--qv", "split1:7,d=2", _deep_split_element())
-    assert code == 0
-    assert out.startswith("w(")
-
-
-def test_precision_cap_does_not_outlive_the_call(capsys, monkeypatch):
-    default = valuations.DEFAULT_PRECISION_CAP
+def test_deep_split_element_evaluates_exactly(capsys):
     deep = _deep_split_element()
-    for argv, code in ((["--precision-cap", "8", "eval", "--qv", "vp:2", "6"], 0),
-                       (["--precision-cap", "8", "eval", "--qv", "split1:7,d=2", deep], 1),
-                       (["--precision-cap", "8", "eval", "--qv", "vp:4", "6"], 2),
-                       (["--precision-cap", "4", "eval", "--qv", "vp:2", "6"], 2),
-                       (["--precision-cap", "1024", "eval", "--qv", "vp:2", "6"], 0)):
-        assert run(capsys, *argv)[0] == code
-        assert valuations.get_precision_cap() == default
-    monkeypatch.setenv("QVAL_PRECISION_CAP", "8")
-    assert run(capsys, "eval", "--qv", "vp:2", "6")[0] == 0
-    assert valuations.get_precision_cap() == default
-
-
-def test_precision_cap_is_per_thread():
-    seen = []
-
-    def worker():
-        valuations.set_precision_cap(8)
-        seen.append(valuations.get_precision_cap())
-
-    thread = threading.Thread(target=worker)
-    thread.start()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert seen == [8]
-    assert valuations.get_precision_cap() == valuations.DEFAULT_PRECISION_CAP
+    t, want = int(deep.split()[0]) - hensel_sqrt(7, 2, 40, 1), 0  # A + B·s, 40 digits of s
+    while t % 7 == 0:
+        t, want = t // 7, want + 1
+    assert 12 <= want < 40
+    code, out, err = run(capsys, "--format", "json", "eval", "--qv", "split1:7,d=2", deep)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == str(want)
+    # the precision cap is gone: its flag is an unknown option
+    for cap in (["--precision-cap", "8"], ["--precision-cap=8"]):
+        with pytest.raises(SystemExit) as info:
+            main([*cap, "eval", "--qv", "split1:7,d=2", deep])
+        assert info.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_reproducible_with_seed(capsys):

@@ -125,13 +125,13 @@ def _problem(draw, d, well_formed):
 def argvs(draw, workdir, well_formed):
     if well_formed:
         p, d = draw(st.sampled_from(PRIMES)), draw(st.sampled_from(DS))
-        formats, caps = ("json", "table"), ("8", "64", "1024")
+        formats = ("json", "table")
         counts = st.integers(0, 8).map(str)
         lemma_ids, instances = sorted(LEMMA_IDS), ("0", "1", "2")
         bounds = st.one_of(st.integers(-6, 12).map(str), positive_rationals)
     else:
         p, d = draw(any_primes), draw(any_ds)
-        formats, caps = ("json", "xml", ""), ("-1", "0", "1", "x", "8")
+        formats = ("json", "xml", "")
         counts = st.one_of(st.integers(-2, 8).map(str), junk)
         lemma_ids, instances = sorted(LEMMA_IDS) + ["2.99", ""], ("-1", "0", "2", "x")
         bounds = any_rationals
@@ -141,8 +141,6 @@ def argvs(draw, workdir, well_formed):
     argv = []
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(formats))]
-    if draw(st.booleans()):
-        argv += ["--precision-cap", draw(st.sampled_from(caps))]
     command = draw(st.sampled_from(COMMANDS))
     argv.append(command)
     if command == "eval":

@@ -3,15 +3,16 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qval import cli, lemmas
 from qval.errors import DomainError, PropertyViolation
 from qval.lemmas import (LEMMA_IDS, _one_element, _pick, _random_bound, constructor_pool,
                          run_lemma)
-from qval.quasi import QVRing
+from qval.quasi import QVRing, Scaled
 from qval.report import PropertyReport
-from qval.sampling import ball_members, elements_for, shift_above, shift_below
+from qval.sampling import ball_members, deck_triples, elements_for, shift_above, shift_below
 from qval.topology import (Ball, Side, dichotomy, integer_refinement, recenter,
                            separation_witness)
 from qval.triples import QuasiValuation
@@ -182,6 +183,34 @@ def _doubled(v, a):
 
 def _raised_at_odd_multiples_of_3(v, a):
     return v + (a % 2 != 0) * (a % 3 == 0)
+
+
+# Ball rows and batch's sums and products pass triple_value unreduced triples,
+# so a value may depend only on the element (A + B·√d)/Q, never on the triple.
+SCALINGS = (2, 3, 6, 7, 49, 2**20)
+
+
+def _scaling_mismatches(w, triples):
+    """(triple, k, dtype) wherever w's value moves when the triple is scaled by k."""
+    mismatches = []
+    for k in SCALINGS:
+        scaled = [(k * a, k * b, k * q) for a, b, q in triples]
+        mismatches += [(t, k, int) for t, u in zip(triples, scaled)
+                       if w.triple_value(*t) != w.triple_value(*u)]
+        for dtype in (np.int64, object):
+            want, got = (w.triple_value(*(np.array(c, dtype=dtype) for c in zip(*ts))).tolist()
+                         for ts in (triples, scaled))
+            mismatches += [(t, k, dtype) for t, x, y in zip(triples, want, got) if x != y]
+    return mismatches
+
+
+def test_values_depend_on_the_element_not_its_triple():
+    pool = constructor_pool()
+    pool += [Scaled(w, Fraction(3, 2)) for w in pool]
+    for w in pool:
+        assert not _scaling_mismatches(w, deck_triples(w.d, random.Random(7), 40)), w
+    corrupted = _CorruptedV2(_raised_at_odd_multiples_of_3)
+    assert _scaling_mismatches(corrupted, deck_triples(None, random.Random(7), 40))
 
 
 # The element loops of the ball checks that the rows replace: every member is

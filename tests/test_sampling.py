@@ -102,7 +102,7 @@ def _element_built_members(ball, rng, count):
     if count > 1:
         members.extend(ball.center + g * _fraction_built_grid_element(w, rng)
                        for _ in range(count - 1))
-    return members
+    return members[:count]
 
 
 def test_deck_triples_replay_the_element_decks():
@@ -134,3 +134,18 @@ def test_member_triples_replay_the_element_built_members():
                     assert triples == [field_triple(z, w.d) for z in want], (w, ball)
                     assert [field_triple(z, w.d) for z in built] == triples
             assert len({rng.getstate() for rng in rngs}) == 1
+
+
+def test_member_triples_return_exactly_count_members():
+    for w in constructor_pool():
+        center = elements_for(w, random.Random(5), 9)[-1]
+        ball = Ball(w, center, Fraction(1), strict=True)
+        for count in (0, 1, 2):
+            rng = random.Random(count)
+            members = member_triples(ball, rng, count)
+            assert len(members) == count, (w, count)
+            assert members[:1] == [field_triple(center, w.d)][:count]
+            if count < 2:  # no shift is drawn
+                assert rng.getstate() == random.Random(count).getstate()
+            else:
+                assert ball.contains(field_element(members[1], w.d)), w

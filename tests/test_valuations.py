@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import random
 from fractions import Fraction
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qval.errors import DomainError, PrecisionExceededError
+from qval.errors import DomainError
 from qval import batch, valuations
 from qval.primes import int_valuation
 from qval.quadratic import QuadElem, is_squarefree
@@ -30,16 +29,6 @@ from qval.values import INFINITY, Value
 
 DS = (-1, 2, 5, -7)
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-@contextlib.contextmanager
-def precision_cap(cap):
-    """The split-value precision cap set to cap for the block, in this context."""
-    token = valuations.set_precision_cap(cap)
-    try:
-        yield
-    finally:
-        valuations.reset_precision_cap(token)
 
 
 def test_v_p_examples():
@@ -232,15 +221,13 @@ def test_hensel_determinacy_once_certified():
                 assert later == value
 
 
-def test_precision_cap_is_enforced():
-    u1 = extensions_of(7, 2)[0]
+def test_deep_split_values_are_exact():
+    u1, u2 = extensions_of(7, 2)
     deep = hensel_sqrt(7, 2, 12, 1)
     adversarial = QuadElem(Fraction(deep), Fraction(-1), 2)  # agrees with the
     # branch-1 root to 12 digits, so precision 8 cannot certify it
-    with precision_cap(8), pytest.raises(PrecisionExceededError):
-        u1.value(adversarial)
-    with precision_cap(64):
-        assert u1.value(adversarial).finite_part >= 12
+    assert u1.value(adversarial) == Value(_hensel_value(u1, deep, -1, 1)) >= Value(12)
+    assert u2.value(adversarial) == Value(0)
 
 
 def test_extension_rejects_wrong_field():
@@ -303,7 +290,7 @@ def test_hensel_caches_are_bounded():
 # The Hensel route that evaluated split values before the closed form, kept
 # here as the reference for it: evaluate with the root lifted to precision
 # k = 8, and re-evaluate the entries whose certificate does not fire at
-# twice the precision, on Python ints, until the cap.
+# twice the precision, on Python ints, until every entry is certified.
 
 def _hensel_root(p, d, k, branch):
     """A root agreeing with the p-adic root to k digits; at p = 2 the
@@ -322,28 +309,16 @@ def _refine(values, certified, deeper, *coords):
     return values
 
 
-def _hensel_value(u, a, b, q, cap, k=8):
+def _hensel_value(u, a, b, q, k=8):
     t = a + b * _hensel_root(u.p, u.d, k, u.branch)
     vt = multiplicity(t, u.p)
     certified = (b == 0) | (vt < multiplicity(b, u.p) + k)
     value = clamp_inf(vt - multiplicity(q, u.p), t == 0)
-
-    def deeper(a, b, q):
-        if k >= cap:
-            raise PrecisionExceededError(
-                f"a valuation under {u} was not certified within precision {cap}", cap
-            )
-        return _hensel_value(u, a, b, q, cap, min(2 * k, cap))
-
-    return _refine(value, certified, deeper, a, b, q)
+    return _refine(value, certified, lambda a, b, q: _hensel_value(u, a, b, q, 2 * k), a, b, q)
 
 
-def _outcome(evaluate):
-    try:
-        result = evaluate()
-    except PrecisionExceededError as exc:
-        return ("raised", str(exc), exc.cap)
-    return result.tolist() if isinstance(result, np.ndarray) else result
+def _listed(values):
+    return np.array(values, dtype=object).ravel().tolist()
 
 
 SPLIT_FIELDS = [(p, d) for d in (-7, -1, 2, 5, 17, -15, 33) for p in (2, 3, 5, 7, 11, 13)
@@ -371,41 +346,25 @@ def split_cases(draw):
     p, d = draw(st.sampled_from(SPLIT_FIELDS))
     branch = draw(st.sampled_from((1, 2)))
     triples = draw(st.lists(split_triples(p, d, branch), min_size=1, max_size=8))
-    # a cap below 8, where the lift started, is refused
-    return ExtendedValuation(p, d, SplitKind.SPLIT, branch), triples, draw(st.sampled_from(
-        (4, 8, 16, 64, 100)))
+    return ExtendedValuation(p, d, SplitKind.SPLIT, branch), triples
 
 
 @settings(max_examples=400, deadline=None)
 @given(split_cases())
 def test_closed_form_split_value_agrees_with_hensel_lifting(case):
-    u, triples, cap = case
-    if cap < valuations.MIN_PRECISION_CAP:
-        with pytest.raises(DomainError):
-            valuations.set_precision_cap(cap)
-        return
-    with precision_cap(cap):
-        _check_closed_form_split_value(u, triples, cap)
-
-
-def _check_closed_form_split_value(u, triples, cap):
-    expected = [_outcome(lambda t=t: _hensel_value(u, *t, cap)) for t in triples]
+    u, triples = case
+    expected = [_hensel_value(u, *t) for t in triples]
     for t, want in zip(triples, expected):
-        assert _outcome(lambda: u.triple_value(*t)) == want, (u, t, cap)
-    raised = [e for e in expected if isinstance(e, tuple)]
-    want = raised[0] if raised else expected
-    # arrays raise when any entry would; int64 wherever the batch engine would pick it
+        assert u.triple_value(*t) == want, (u, t)
+    # int64 wherever the batch engine would pick it
     peaks = (max(abs(t[i]) for t in triples) for i in range(3))
     dtypes = (np.int64, object) if batch._array_dtype(*peaks) is np.int64 else (object,)
     for dtype in dtypes:
         for shape in ((len(triples),), (len(triples), 1), (1, len(triples))):
             a, b, q = (np.array(c, dtype=dtype).reshape(shape) for c in zip(*triples))
-            got = _outcome(lambda: u.triple_value(a, b, q))
-            if not raised:
-                got = np.array(got, dtype=object).ravel().tolist()
-            assert got == want, (u, triples, cap, dtype, shape)
+            assert _listed(u.triple_value(a, b, q)) == expected, (u, triples, dtype, shape)
     a, b, q = (np.array(c, dtype=object) for c in zip(*triples))
-    assert _outcome(lambda: _hensel_value(u, a, b, q, cap)) == want
+    assert _hensel_value(u, a, b, q).tolist() == expected
 
 
 def test_closed_form_on_int64_arrays_with_deep_entries():
@@ -417,10 +376,9 @@ def test_closed_form_on_int64_arrays_with_deep_entries():
         for depths in ((2, 3, 4), (4, 12, 20)):
             triples = [(-s % 7**k, 1, 7) for k in depths] + [(3, 1, 1), (0, 0, 1), (5, 0, 49)]
             a, b, q = (np.array(c, dtype=np.int64) for c in zip(*triples))
-            with precision_cap(64):
-                values = u.triple_value(a, b, q)
+            values = u.triple_value(a, b, q)
             assert values.dtype == np.int64
-            assert values.tolist() == [_hensel_value(u, *t, 64) for t in triples]
+            assert values.tolist() == [_hensel_value(u, *t) for t in triples]
             assert all(v >= k - 1 for v, k in zip(values.tolist(), depths))
 
 
@@ -486,62 +444,62 @@ def content_cases(draw):
     triples = draw(st.lists(content_triples(p, d, top), min_size=1, max_size=8))
     if draw(st.booleans()):
         triples.append((0, 0, draw(st.integers(1, 9))))
-    return p, d, triples, draw(st.sampled_from((8, 16, 64, valuations.DEFAULT_PRECISION_CAP)))
+    return p, d, triples
 
 
-# one entry 12 digits deep on branch 1 and one 20 deep on branch 2: cap 8
-# raises at whichever member comes first, cap 16 at branch 2 alone, cap 64 at neither
+# one entry 12 digits deep on branch 1 and one 20 deep on branch 2
 DEEP_PAIR = [(-hensel_sqrt(7, 2, 12, 1) % 7**12, 1, 1), (-hensel_sqrt(7, 2, 20, 2) % 7**20, 1, 1)]
-# 279 + √17 is at least 9 digits deep on branch 1, so cap 8 raises, while
-# 279² + 17 has 17 bits: a screen that skipped a few bits past the cap misses it
-SHALLOW_RAISE = [(-hensel_sqrt(2, 17, 10, 1) % 2**9, 1, 1)]
+# 279 + √17 is 11 digits deep on branch 1, though 279² − 17·1² has only 17 bits
+SHALLOW_DEEP = [(-hensel_sqrt(2, 17, 10, 1) % 2**9, 1, 1)]
+
+
+def test_deep_pair_entries_take_their_exact_values():
+    for (p, d, triples), branch_values in (((7, 2, DEEP_PAIR), ([12, 0], [0, 20])),
+                                           ((2, 17, SHALLOW_DEEP), ([11], [1]))):
+        for u, want in zip(extensions_of(p, d), branch_values):
+            assert [u.triple_value(*t) for t in triples] == want, u
+            assert [_hensel_value(u, *t) for t in triples] == want, u
 
 
 @settings(max_examples=300, deadline=None)
 @given(content_cases())
-@example((7, 2, DEEP_PAIR, 8))
-@example((7, 2, DEEP_PAIR, 16))
-@example((7, 2, DEEP_PAIR, 64))
-@example((2, 17, SHALLOW_RAISE, 8))
+@example((7, 2, DEEP_PAIR))
+@example((2, 17, SHALLOW_DEEP))
 def test_the_canonical_extension_is_the_p_content(case):
-    p, d, triples, cap = case
+    p, d, triples = case
     content = {t: INF if t[0] == t[1] == 0 else _content_oracle(p, *t) for t in triples}
     extensions = extensions_of(p, d)
     # v_p(norm) is the sum over the extensions, each weighted by its residue
     # degree: twice the one inert value, or the content plus the other branch
     for (a, b, q), value in content.items():
-        with precision_cap(cap):
-            values = [_outcome(lambda u=u: u.triple_value(a, b, q)) for u in extensions]
-        if (a or b) and not any(isinstance(v, tuple) for v in values):
+        values = [u.triple_value(a, b, q) for u in extensions]
+        if a or b:
             norm = _count_p(p, a * a - d * b * b) - 2 * _count_p(p, q)
             weighted = values * 2 if len(values) == 1 else values
             assert sorted(weighted) == sorted((value, norm - value)), (a, b, q)
     if len(extensions) == 1:
         cases = [(extensions[0], None)]
-    else:  # the pair in both orders, against its members one by one, cap raises included
+    else:  # the pair in both orders, against its members one by one
         cases = [(MinOf(order), functools.partial(_memberwise, order))
                  for order in (extensions, extensions[::-1])]
     expected = [content[t] for t in triples]
     peak = max(abs(c) for t in triples for c in t)
     dtypes = (np.int64, object) if peak < INT64_LIMIT else (object,)
     columns = list(zip(*triples))
-    with precision_cap(cap):
-        for w, memberwise in cases:
-            for t in triples:
-                got = _outcome(lambda: w.triple_value(*t))
+    for w, memberwise in cases:
+        for t in triples:
+            got = w.triple_value(*t)
+            if memberwise:
+                assert got == memberwise(*t), (w, t)
+            assert got == content[t], (w, t)
+        for dtype in dtypes:
+            for shape in ((len(triples),), (len(triples), 1), (1, len(triples))):
+                a, b, q = (np.array(c, dtype=dtype).reshape(shape) for c in columns)
+                got = w.triple_value(a, b, q)
                 if memberwise:
-                    assert got == _outcome(lambda: memberwise(*t)), (w, t, cap)
-                if not isinstance(got, tuple):
-                    assert got == content[t], (w, t)
-            for dtype in dtypes:
-                for shape in ((len(triples),), (len(triples), 1), (1, len(triples))):
-                    a, b, q = (np.array(c, dtype=dtype).reshape(shape) for c in columns)
-                    got = _outcome(lambda: w.triple_value(a, b, q))
-                    if memberwise:
-                        assert got == _outcome(lambda: memberwise(a, b, q)), (w, dtype, cap)
-                    if not isinstance(got, tuple):
-                        assert np.array(got, dtype=object).ravel().tolist() == expected
-                        assert dtype is object or w.triple_value(a, b, q).dtype == np.int64
+                    assert got.tolist() == memberwise(a, b, q).tolist(), (w, dtype)
+                assert _listed(got) == expected
+                assert dtype is object or got.dtype == np.int64
 
 
 @settings(max_examples=300, deadline=None)
