@@ -9,6 +9,7 @@ import argparse
 import json
 import random
 import sys
+from functools import lru_cache
 
 from .approximation import solve_problem_file
 from .errors import DomainError, ParseError
@@ -29,6 +30,7 @@ def count(text: str) -> int:
     return value
 
 
+@lru_cache(maxsize=1)  # built once, on first use; parse_args never writes to it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qval",
@@ -173,8 +175,7 @@ def cmd_lemma(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ParseError, DomainError, OSError) as exc:

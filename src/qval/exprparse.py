@@ -33,19 +33,22 @@ MAX_NESTING = 100  # a few interpreter frames per level, far below the recursion
 class _Tokenizer:
     def __init__(self, text: str):
         self.tokens: list[tuple[str, str, int]] = []
+        append = self.tokens.append
         for match in _TOKEN.finditer(text):
-            pos = match.start(match.lastindex)
-            if match.group(1):
-                if len(match.group(1)) > MAX_DIGITS:
+            group = match.lastindex  # exactly one alternative matched
+            token = match[group]
+            pos = match.start(group)
+            if group == 1:
+                if len(token) > MAX_DIGITS:
                     raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", pos)
-                self.tokens.append(("int", match.group(1), pos))
-            elif match.group(2):
-                self.tokens.append(("sqrt", "sqrt", pos))
-            elif match.group(3):
-                self.tokens.append(("op", match.group(3), pos))
+                append(("int", token, pos))
+            elif group == 2:
+                append(("sqrt", token, pos))
+            elif group == 3:
+                append(("op", token, pos))
             else:
-                raise ParseError(f"unexpected character {match.group(4)!r}", pos)
-        self.tokens.append(("end", "", len(text)))
+                raise ParseError(f"unexpected character {token!r}", pos)
+        append(("end", "", len(text)))
         self.index = 0
 
     def peek(self) -> tuple[str, str, int]:

@@ -81,6 +81,33 @@ def test_size_limits():
     assert parse_element("-" * 3001 + "2") == -2
 
 
+@pytest.mark.parametrize("text, message, position", [
+    # a character no token class matches, after a sqrt(...) token
+    ("sqrt(2) é", "unexpected character 'é'", 8),
+    ("  sqrt(2)x", "unexpected character 'x'", 9),
+    # an integer literal that starts past the first token
+    pytest.param("2 + " + "7" * (MAX_DIGITS + 1),
+                 f"integer literal longer than {MAX_DIGITS} digits", 4, id="long-literal"),
+    # sqrt not followed by "("
+    ("sqrt 2", "expected '(', found 2", 5),
+    ("sqrt + 1", "expected '(', found +", 5),
+    ("sqrt", "expected '(', found end of input", 4),
+    # a second, different sqrt argument: the position is its "sqrt" token
+    ("1 + sqrt(2) * sqrt(3)",
+     "mixed sqrt arguments: sqrt(2) and sqrt(3) in one expression", 14),
+])
+def test_token_errors_pin_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_element(text)
+    assert info.value.position == position
+    assert str(info.value) == f"{message} (at position {position})"
+
+
+def test_unicode_digits_stay_integer_literals():
+    # \d in the token pattern matches any Unicode decimal digit, as int() reads it
+    assert parse_element("١٢ + 3") == 15
+
+
 def test_parse_rational():
     assert parse_rational("3") == 3
     assert parse_rational(" -2/7 ") == Fraction(-2, 7)
