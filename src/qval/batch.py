@@ -6,13 +6,15 @@ and twice as many valuations per constructor; doing that through Fraction
 objects is an order of magnitude too slow for the harness's time budget.
 Here the samples become arrays of integer triples x = (A + B·√d)/Q, the
 sums and products of the n(n+1)/2 unordered pairs are formed by indexing
-with the upper triangle, and the constructor's own ``triple_value``
-evaluates each array in one call.  The ball gauges w(y − c) that the
-topology checks compare against bounds are formed the same way: one
-difference triple per (center, point), all of them evaluated once, as an
-integer matrix.  The gauges take the triples the samplers draw, and
-``clears`` compares them against a bound, on arrays or, for one point, on
-Python ints.  Both take only subclasses of ``QuasiValuation`` and
+with the upper triangle (one read-only pair of index arrays per n, in a
+bounded cache), and the samples, their negations, the sums and the
+products are stacked into one array triple that the constructor's own
+``triple_value`` evaluates in one call, so its fixed costs are paid once
+per check.  The ball gauges w(y − c) that the topology checks compare
+against bounds are formed the same way: one difference triple per
+(center, point), all of them evaluated once, as an integer matrix.  The
+gauges take the triples the samplers draw, and ``clears`` compares them
+against a bound, on arrays or, for one point, on Python ints.  Both take only subclasses of ``QuasiValuation`` and
 refuse anything else with ``DomainError``.
 
 The arithmetic stays exact.  A worst-case magnitude check with unbounded
@@ -26,6 +28,8 @@ come back as integers scaled by the constructor's value denominator, with
 the sentinel INF for ∞; callers take ∞ from masks of zero inputs, never
 from the sentinel.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,6 +91,15 @@ def point_clears(w, c, y, bound, strict: bool = False) -> bool:
     return (a == 0 and b == 0) or bool(clears(w, w.triple_value(a, b, q), False, bound, strict))
 
 
+@lru_cache(maxsize=4)  # at n = 2000 one entry holds 32 MB
+def _pair_triangle(n: int):
+    """(iu, ju): the unordered pairs i ≤ j of n samples, row-major, as
+    read-only index arrays shared by every check of n samples."""
+    iu, ju = np.triu_indices(n)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def pairwise_axiom_check(w, samples):
     """All-pairs axiom check on integer arrays.
 
@@ -107,22 +120,28 @@ def pairwise_axiom_check(w, samples):
     dtype = _array_dtype(*map(max, sum_bound, prod_bound))  # these bound the samples too
     a, b, q = (np.array(column, dtype=dtype) for column in zip(*triples))
 
-    # sum and product triples for the unordered pairs i ≤ j only, row-major
+    # one stack, evaluated in one call: the samples, their negations, then
+    # the sums and the products of the unordered pairs i ≤ j, row-major
     # (both are symmetric in i and j, so the lower triangle adds nothing)
-    iu, ju = np.triu_indices(n)
+    iu, ju = _pair_triangle(n)
+    m = len(iu)
+    negations, sums, products = slice(n, 2 * n), slice(2 * n, 2 * n + m), slice(2 * n + m, None)
+    A, B, Q = (np.empty(2 * (n + m), dtype=dtype) for _ in range(3))
+    A[:n], B[:n], Q[:n] = a, b, q
+    A[negations], B[negations], Q[negations] = -a, -b, q
     ai, bi, qi, aj, bj, qj = a[iu], b[iu], q[iu], a[ju], b[ju], q[ju]
-    sum_b = bi * qj + qi * bj
-    pair_q = qi * qj
-    sums = (ai * qj + qi * aj, sum_b, pair_q)
+    A[sums] = ai * qj + qi * aj
+    B[sums] = bi * qj + qi * bj
+    Q[sums] = Q[products] = qi * qj
     if w.d is None:
-        products = (ai * aj, sum_b, pair_q)  # sum_b is all zeros
+        A[products], B[products] = ai * aj, 0  # every B is 0
     else:
-        products = (ai * aj + (bi * bj) * w.d, ai * bj + bi * aj, pair_q)
+        A[products] = ai * aj + (bi * bj) * w.d
+        B[products] = ai * bj + bi * aj
+    del ai, bi, qi, aj, bj, qj  # the stack holds what they formed
 
-    values = w.triple_value(a, b, q)
-    negated = w.triple_value(-a, -b, q)
-    w_sum = w.triple_value(*sums)
-    w_prod = w.triple_value(*products)
+    stacked = w.triple_value(A, B, Q)
+    values, negated, w_sum, w_prod = (stacked[s] for s in (slice(n), negations, sums, products))
 
     violations: list[tuple[str, int, int]] = []
     checked = n
@@ -135,7 +154,7 @@ def pairwise_axiom_check(w, samples):
     ix, iy = infinite[iu], infinite[ju]
     vx, vy = values[iu], values[ju]
     floor = np.where(ix, vy, np.where(iy, vx, np.minimum(vx, vy)))
-    sum_zero = (sums[0] == 0) & (sums[1] == 0)
+    sum_zero = (A[sums] == 0) & (B[sums] == 0)
 
     def report(kind, bad):
         violations.extend((kind, int(iu[k]), int(ju[k])) for k in np.flatnonzero(bad))
@@ -145,5 +164,5 @@ def pairwise_axiom_check(w, samples):
     report("ultrametric", ~sum_zero & (w_sum < floor))
     differing = (ix != iy) | (vx != vy)
     report("equality-case", differing & (w_sum != floor))
-    checked += 2 * len(iu) + int(differing.sum())
+    checked += 2 * m + int(differing.sum())
     return checked, violations

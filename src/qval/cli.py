@@ -22,6 +22,10 @@ from .sampling import ball_members, elements_for
 from .topology import Ball, separation_witness
 
 
+# the axiom harness holds every pair i ≤ j at once: about 2·10^6 pairs, near 300 MB, at the limit
+MAX_AXIOM_SAMPLES = 2000
+
+
 def count(text: str) -> int:
     """A --samples or --instances value: an integer ≥ 0."""
     value = int(text)
@@ -59,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_axioms = sub.add_parser("axioms", help="run the quasi-valuation axiom harness")
     p_axioms.add_argument("--qv", required=True)
-    p_axioms.add_argument("--samples", type=count, default=200)
+    p_axioms.add_argument("--samples", type=count, default=200,
+                          help=f"samples to draw, at most {MAX_AXIOM_SAMPLES}; every pair is checked")
     p_axioms.add_argument("--seed", type=int, default=0)
     p_axioms.set_defaults(handler=cmd_axioms)
 
@@ -136,6 +141,8 @@ def _emit_report(report: PropertyReport, fmt: str) -> int:
 
 
 def cmd_axioms(args) -> int:
+    if args.samples > MAX_AXIOM_SAMPLES:
+        raise DomainError(f"--samples must be at most {MAX_AXIOM_SAMPLES}, got {args.samples}")
     qv = parse_qv(args.qv)
     rng = random.Random(args.seed)
     samples = elements_for(qv, rng, args.samples)

@@ -1,6 +1,8 @@
 """The all-pairs engine behind the axiom harness."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from qval.errors import DomainError
 from qval.quadratic import QuadElem
 from qval.quasi import MinOf, NAdic, Scaled, check_axioms, min_extension
 from qval.sampling import elements_for
-from qval.triples import INF, INT64_LIMIT, QuasiValuation, field_triple
+from qval.triples import INT64_LIMIT, QuasiValuation, field_element, field_triple
 from qval.valuations import PAdicValuation, SplitKind, extensions_of, hensel_sqrt, primes_by_kind
 
 CONSTRUCTORS = [
@@ -30,6 +32,9 @@ CONSTRUCTORS = [
     min_extension(7, 2),
     min_extension(11, 5),
     Scaled(min_extension(7, 2), Fraction(3, 2)),
+    # finite values equal to the sentinel: w(2) = 2^40 = INF
+    Scaled(PAdicValuation(2), 2**40),
+    Scaled(extensions_of(2, -7)[0], 2**40),
 ]
 
 
@@ -92,7 +97,11 @@ def test_a_finite_value_equal_to_the_sentinel_is_finite(inner):
 
 def _full_matrix_check(w, samples):
     """The all-pairs check as it was first written: every ordered pair
-    (i, j) broadcast into n×n matrices, the upper triangle reported."""
+    (i, j) broadcast into n×n matrices, the upper triangle reported, with
+    one ``triple_value`` call each on the samples, the negations, the sums
+    and the products.  ∞ is read from zero triples, never from the
+    sentinel: a sample or a sum is 0 when its A and B are, a product when
+    a factor is."""
     triples = batch._triples(w, samples)
     n = len(triples)
     if not n:
@@ -127,20 +136,22 @@ def _full_matrix_check(w, samples):
     for i in np.nonzero(negated != values)[0]:
         violations.append(("negation", int(i), int(i)))
 
-    infinite = values == INF
+    infinite = (a == 0) & (b == 0)
     ix, iy = infinite[:, None], infinite[None, :]
     vx, vy = values[:, None], values[None, :]
     floor = np.where(ix, vy, np.where(iy, vx, np.minimum(vx, vy)))
+    prod_infinite = ix | iy
+    sum_infinite = ((sums[0] == 0) & (sums[1] == 0)).reshape(n, n)
 
     upper = np.triu(np.ones((n, n), dtype=bool))
     n_pairs = n * (n + 1) // 2
 
-    bad = (w_prod != INF) & (ix | iy | (w_prod < vx + vy)) & upper
+    bad = ~prod_infinite & (ix | iy | (w_prod < vx + vy)) & upper
     checked += n_pairs
     for i, j in np.argwhere(bad):
         violations.append(("superadditive", int(i), int(j)))
 
-    bad = (w_sum != INF) & ((ix & iy) | (w_sum < floor)) & upper
+    bad = ~sum_infinite & ((ix & iy) | (w_sum < floor)) & upper
     checked += n_pairs
     for i, j in np.argwhere(bad):
         violations.append(("ultrametric", int(i), int(j)))
@@ -316,6 +327,50 @@ def test_int64_results_equal_object_and_scalar_results_at_the_limit(case, with_z
         assert np.asarray(got, dtype=object).ravel().tolist() == expected, (w, dtype)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SIZED_SHAPES).flatmap(accepted_triples), st.booleans())
+# small samples the gate puts on int64, where the constructor's own sizing
+# moves the one stacked call to Python ints for every entry
+@example((MIN_WIDE, [(1, 1, 1), (2, -3, 5)]), True)
+@example((SCALED_WIDE, [(3, 1, 1), (1, 0, 2)]), True)
+@example((extensions_of(7, 2)[0], [SPLIT_AT_LIMIT, (1, 0, 1)]), True)
+@example((extensions_of(7, 2)[0], [SPLIT_AT_LIMIT]), False)
+# x + (−x) = 0, whose w = ∞ the sum's own triple decides: w(4) = 2^46 is past the sentinel
+@example((Scaled(PAdicValuation(2), 2**45), [(4, 0, 1), (-4, 0, 1)]), False)
+def test_one_stacked_call_matches_four_separate_calls(case, with_zero):
+    w, triples = case
+    samples = [field_element(t, w.d) for t in triples + [(0, 0, 1)] * with_zero]
+    assert batch.pairwise_axiom_check(w, samples) == _full_matrix_check(w, samples)
+
+
+def test_the_pair_triangle_is_cached_and_read_only():
+    iu, ju = batch._pair_triangle(5)
+    assert batch._pair_triangle(5)[0] is iu and batch._pair_triangle(5)[1] is ju
+    assert np.array_equal(iu, np.triu_indices(5)[0]) and np.array_equal(ju, np.triu_indices(5)[1])
+    for index in (iu, ju):
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 1
+
+
+def test_threads_check_as_serial_calls_do():
+    # ten sample counts, more than the triangle cache holds, so threads
+    # evict each other's entries while they check
+    sizes = (0, 1, 2, 5, 9, 13, 17, 24, 30, 41)
+    cases = [(w, elements_for(w, random.Random(k), sizes[k % len(sizes)]))
+             for k, w in enumerate(CONSTRUCTORS + SIZED_SHAPES)]
+    serial = [check_axioms(w, samples).to_dict() for w, samples in cases]
+    batch._pair_triangle.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(lambda case: check_axioms(*case).to_dict(), cases * 3))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial * 3
+
+
 @pytest.mark.parametrize("w", [Scaled(PAdicValuation(3), 10**39 + 7), *extensions_of(WIDE_PRIME, 5),
                                *extensions_of(2, WIDE_PRIME)], ids=str)
 def test_constants_past_int64_need_no_wide_samples(w):
@@ -343,4 +398,4 @@ def test_a_rescaling_sizes_its_finite_values_only(monkeypatch):
     monkeypatch.setattr(Scaled, "triple_value", recording)
     report = check_axioms(w, samples)
     assert report.passed and report.instances > len(samples) ** 2
-    assert seen == [np.dtype(np.int64)] * 4  # samples, negations, sums, products
+    assert seen == [np.dtype(np.int64)]  # one call: samples, negations, sums, products

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qval.approximation import dump_problem, ApproxTarget
+from qval import cli
 from qval.cli import main
 from qval.quadratic import QuadElem
 from qval.valuations import hensel_sqrt
@@ -148,6 +149,18 @@ def test_negative_counts_exit_two(capsys, argv):
     # zero is a count too: nothing is drawn, and the run passes
     code, out, _ = run(capsys, *argv[:-1], "0")
     assert code == 0 and "pass" in out
+
+
+def test_axiom_samples_past_the_limit_exit_two(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an over-limit request must be refused before sampling")
+
+    monkeypatch.setattr(cli, "elements_for", unreachable)
+    monkeypatch.setattr(cli, "check_axioms", unreachable)
+    over = str(cli.MAX_AXIOM_SAMPLES + 1)
+    code, out, err = run(capsys, "axioms", "--qv", "vp:2", "--samples", over)
+    assert code == 2 and not out
+    assert err == f"error: --samples must be at most {cli.MAX_AXIOM_SAMPLES}, got {over}\n"
 
 
 @pytest.mark.parametrize("problem", [
