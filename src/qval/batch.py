@@ -7,15 +7,15 @@ objects is an order of magnitude too slow for the harness's time budget.
 Here the samples become arrays of integer triples x = (A + B·√d)/Q, the
 sums and products of the n(n+1)/2 unordered pairs are formed by indexing
 with the upper triangle (one read-only pair of index arrays per n, in a
-bounded cache), and the samples, their negations, the sums and the
-products are stacked into one array triple that the constructor's own
-``triple_value`` evaluates in one call, so its fixed costs are paid once
-per check.  The ball gauges w(y − c) that the topology checks compare
-against bounds are formed the same way: one difference triple per
-(center, point), all of them evaluated once, as an integer matrix.  The
-gauges take the triples the samplers draw, and ``clears`` compares them
-against a bound, on arrays or, for one point, on Python ints.  Both take only subclasses of ``QuasiValuation`` and
-refuse anything else with ``DomainError``.
+bounded cache), and the constructor's own ``triple_value`` evaluates them
+one call per row-major block of at most ``PAIR_BLOCK`` pairs, the samples
+and their negations riding in the first (see ``pairwise_axiom_check``).
+The ball gauges w(y − c) that the topology checks compare against bounds
+are formed the same way: one difference triple per (center, point), all
+of them evaluated once, as an integer matrix.  The gauges take the
+triples the samplers draw, and ``clears`` compares them against a bound,
+on arrays or, for one point, on Python ints.  Both take only subclasses
+of ``QuasiValuation`` and refuse anything else with ``DomainError``.
 
 The arithmetic stays exact.  A worst-case magnitude check with unbounded
 Python ints, on the triples formed here, picks int64 arrays when none of
@@ -100,17 +100,30 @@ def _pair_triangle(n: int):
     return iu, ju
 
 
+# pairs per triple_value call: a block's arrays and the constructor's temporaries
+# stay small enough to reuse the heap instead of mapping fresh pages on every check
+PAIR_BLOCK = 4096
+
+
 def pairwise_axiom_check(w, samples):
     """All-pairs axiom check on integer arrays.
 
     Returns (checks_performed, violations) where violations are
-    (kind, i, j) index triples into ``samples``.
+    (kind, i, j) index triples into ``samples``, grouped by kind in the
+    order negation, superadditive, ultrametric, equality-case.
+
+    The pairs i ≤ j are taken row-major in contiguous blocks of at most
+    ``PAIR_BLOCK``, and one ``triple_value`` call evaluates each block's
+    stack of sums and products.  The first block's stack also carries the
+    samples and their negations, so a check of at most ``PAIR_BLOCK``
+    pairs makes exactly one call.
     """
     triples = _triples(w, samples)
     n = len(triples)
     if not n:
         return 0, []
-    max_a, max_b, max_q = (max(abs(t[i]) for t in triples) for i in range(3))
+    columns = list(zip(*triples))  # the A, B and Q columns
+    max_a, max_b, max_q = (max(map(abs, c)) for c in columns)
     # worst-case coordinate magnitudes after one pairwise add / multiply,
     # checked with unbounded ints before anything is narrowed to int64;
     # d counts where every B is 0 too, since the products multiply by it
@@ -118,51 +131,51 @@ def pairwise_axiom_check(w, samples):
     sum_bound = (2 * max_a * max_q, 2 * max_b * max_q, max_q * max_q)
     prod_bound = (max_a * max_a + max(max_b, 1) ** 2 * d, 2 * max_a * max_b, max_q * max_q)
     dtype = _array_dtype(*map(max, sum_bound, prod_bound))  # these bound the samples too
-    a, b, q = (np.array(column, dtype=dtype) for column in zip(*triples))
-
-    # one stack, evaluated in one call: the samples, their negations, then
-    # the sums and the products of the unordered pairs i ≤ j, row-major
-    # (both are symmetric in i and j, so the lower triangle adds nothing)
-    iu, ju = _pair_triangle(n)
-    m = len(iu)
-    negations, sums, products = slice(n, 2 * n), slice(2 * n, 2 * n + m), slice(2 * n + m, None)
-    A, B, Q = (np.empty(2 * (n + m), dtype=dtype) for _ in range(3))
-    A[:n], B[:n], Q[:n] = a, b, q
-    A[negations], B[negations], Q[negations] = -a, -b, q
-    ai, bi, qi, aj, bj, qj = a[iu], b[iu], q[iu], a[ju], b[ju], q[ju]
-    A[sums] = ai * qj + qi * aj
-    B[sums] = bi * qj + qi * bj
-    Q[sums] = Q[products] = qi * qj
-    if w.d is None:
-        A[products], B[products] = ai * aj, 0  # every B is 0
-    else:
-        A[products] = ai * aj + (bi * bj) * w.d
-        B[products] = ai * bj + bi * aj
-    del ai, bi, qi, aj, bj, qj  # the stack holds what they formed
-
-    stacked = w.triple_value(A, B, Q)
-    values, negated, w_sum, w_prod = (stacked[s] for s in (slice(n), negations, sums, products))
-
-    violations: list[tuple[str, int, int]] = []
-    checked = n
-    for i in np.nonzero(negated != values)[0]:
-        violations.append(("negation", int(i), int(i)))
-
+    a, b, q = (np.array(c, dtype=dtype) for c in columns)
     # ∞ enters every ordering through masks of zero triples, never as a
     # number, so finite values of any size (the sentinel's too) compare exactly
     infinite = (a == 0) & (b == 0)
-    ix, iy = infinite[iu], infinite[ju]
-    vx, vy = values[iu], values[ju]
-    floor = np.where(ix, vy, np.where(iy, vx, np.minimum(vx, vy)))
-    sum_zero = (A[sums] == 0) & (B[sums] == 0)
+    iu, ju = _pair_triangle(n)
+    m = len(iu)
+    found = {kind: [] for kind in ("negation", "superadditive", "ultrametric", "equality-case")}
+    checked = n + 2 * m
 
-    def report(kind, bad):
-        violations.extend((kind, int(iu[k]), int(ju[k])) for k in np.flatnonzero(bad))
+    for start in range(0, m, PAIR_BLOCK):
+        # the block's stack: (the samples, their negations,) the sums, then
+        # the products of its pairs (both are symmetric in i and j, so the
+        # lower triangle adds nothing); its temporaries are block-sized too
+        I, J = iu[start:start + PAIR_BLOCK], ju[start:start + PAIR_BLOCK]
+        head, k = 2 * n if start == 0 else 0, len(I)
+        A, B, Q = (np.empty(head + 2 * k, dtype=dtype) for _ in range(3))
+        if head:
+            A[:n], B[:n], Q[:n], A[n:head], B[n:head], Q[n:head] = a, b, q, -a, -b, q
+        sums, products = slice(head, head + k), slice(head + k, None)
+        ai, bi, qi, aj, bj, qj = a[I], b[I], q[I], a[J], b[J], q[J]
+        A[sums] = ai * qj + qi * aj
+        B[sums] = bi * qj + qi * bj
+        Q[sums] = Q[products] = qi * qj
+        if w.d is None:
+            A[products], B[products] = ai * aj, 0  # every B is 0
+        else:
+            A[products] = ai * aj + (bi * bj) * w.d
+            B[products] = ai * bj + bi * aj
 
-    # a field has no zero divisors: xy = 0, where w(xy) = ∞, exactly when x or y is 0
-    report("superadditive", ~(ix | iy) & (w_prod < vx + vy))
-    report("ultrametric", ~sum_zero & (w_sum < floor))
-    differing = (ix != iy) | (vx != vy)
-    report("equality-case", differing & (w_sum != floor))
-    checked += 2 * m + int(differing.sum())
-    return checked, violations
+        stacked = w.triple_value(A, B, Q)
+        if head:
+            values = stacked[:n]
+            found["negation"] += [("negation", int(i), int(i))
+                                  for i in np.flatnonzero(stacked[n:head] != values)]
+        w_sum, w_prod = stacked[sums], stacked[products]
+        ix, iy, vx, vy = infinite[I], infinite[J], values[I], values[J]
+        floor = np.where(ix, vy, np.where(iy, vx, np.minimum(vx, vy)))
+
+        def report(kind, bad):
+            found[kind] += [(kind, int(I[t]), int(J[t])) for t in np.flatnonzero(bad)]
+
+        # a field has no zero divisors: xy = 0, where w(xy) = ∞, exactly when x or y is 0
+        report("superadditive", ~(ix | iy) & (w_prod < vx + vy))
+        report("ultrametric", ~((A[sums] == 0) & (B[sums] == 0)) & (w_sum < floor))
+        differing = (ix != iy) | (vx != vy)
+        report("equality-case", differing & (w_sum != floor))
+        checked += int(np.count_nonzero(differing))
+    return checked, [v for kind in found.values() for v in kind]

@@ -205,6 +205,66 @@ def test_triangle_check_matches_full_matrices_on_objects_and_corruption():
         assert (checked, violations) == _full_matrix_check(w, samples)
 
 
+KIND_ORDER = ("negation", "superadditive", "ultrametric", "equality-case")
+
+
+def _block_of(n, i, j):
+    """The block of pair (i, j), i ≤ j, in the row-major triangle of n samples."""
+    return (i * n - i * (i - 1) // 2 + j - i) // batch.PAIR_BLOCK
+
+
+def _block_cases():
+    """128 samples, so 8256 pairs in three blocks, the last one partial."""
+    rng = random.Random(16)
+    for inner in (PAdicValuation(2), extensions_of(2, -7)[0]):
+        samples = elements_for(inner, rng, 124)
+        # 4 at index 60: its pairs run through the first two blocks; the
+        # sum -4 + 8 = 4 is the last pair but one, in the third
+        samples[60:60] = [4, 2]
+        yield inner, _FlippedAtFour(inner), samples + [-4, 8]
+
+
+def test_blocks_check_as_the_full_matrices_do():
+    for inner, flipped, samples in _block_cases():
+        assert batch.pairwise_axiom_check(inner, samples) == _full_matrix_check(inner, samples)
+        checked, violations = batch.pairwise_axiom_check(flipped, samples)
+        assert (checked, violations) == _full_matrix_check(flipped, samples)
+        pairs = [(i, j) for kind, i, j in violations if kind != "negation"]
+        assert {_block_of(128, i, j) for i, j in pairs} == {0, 1, 2}
+        # grouped by kind, every kind present, and row-major within a kind
+        kinds = [KIND_ORDER.index(kind) for kind, _, _ in violations]
+        assert kinds == sorted(kinds) and set(kinds) == {0, 1, 2, 3}
+        for kind in KIND_ORDER:
+            assert [(i, j) for k, i, j in violations if k == kind] == \
+                sorted((i, j) for k, i, j in violations if k == kind)
+
+
+class _Recording(QuasiValuation):
+    """inner, recording the length of every stack it evaluates."""
+
+    def __init__(self, inner):
+        self.inner, self.d, self.lengths = inner, inner.d, []
+        self.value_denominator = inner.value_denominator
+
+    def triple_value(self, a, b, q):
+        assert len(a) == len(b) == len(q)
+        self.lengths.append(len(a))
+        return self.inner.triple_value(a, b, q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 90, 91, 128, 200])
+def test_one_triple_value_call_per_block(n):
+    # n = 90 is the largest check of one block (4095 pairs), n = 91 the least of two
+    for inner in (PAdicValuation(3), extensions_of(7, 2)[0]):
+        w = _Recording(inner)
+        samples = elements_for(inner, random.Random(n), n)
+        assert batch.pairwise_axiom_check(w, samples) == batch.pairwise_axiom_check(inner, samples)
+        m = n * (n + 1) // 2
+        assert len(w.lengths) == -(-m // batch.PAIR_BLOCK)
+        assert max(w.lengths) <= 2 * batch.PAIR_BLOCK + 2 * n
+        assert w.lengths[0] == 2 * n + 2 * min(m, batch.PAIR_BLOCK) and sum(w.lengths) == 2 * (n + m)
+
+
 def test_triangle_check_sizes_zero_and_one():
     w = PAdicValuation(2)
     assert batch.pairwise_axiom_check(w, []) == (0, [])
@@ -354,9 +414,9 @@ def test_the_pair_triangle_is_cached_and_read_only():
 
 
 def test_threads_check_as_serial_calls_do():
-    # ten sample counts, more than the triangle cache holds, so threads
-    # evict each other's entries while they check
-    sizes = (0, 1, 2, 5, 9, 13, 17, 24, 30, 41)
+    # eleven sample counts, more than the triangle cache holds, so threads
+    # evict each other's entries while they check; 128 takes three blocks
+    sizes = (0, 1, 2, 5, 9, 13, 17, 24, 30, 41, 128)
     cases = [(w, elements_for(w, random.Random(k), sizes[k % len(sizes)]))
              for k, w in enumerate(CONSTRUCTORS + SIZED_SHAPES)]
     serial = [check_axioms(w, samples).to_dict() for w, samples in cases]

@@ -163,6 +163,24 @@ def test_axiom_samples_past_the_limit_exit_two(capsys, monkeypatch):
     assert err == f"error: --samples must be at most {cli.MAX_AXIOM_SAMPLES}, got {over}\n"
 
 
+@pytest.mark.parametrize("command, flag", [("separate", "samples"), ("lemma", "instances"),
+                                           ("lemma", "samples")])
+def test_counts_past_their_limits_exit_two(capsys, monkeypatch, command, flag):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an over-limit request must be refused before sampling")
+
+    for name in ("run_lemma", "separation_witness", "ball_members"):
+        monkeypatch.setattr(cli, name, unreachable)
+    limit = cli.COUNT_LIMITS[command, flag]
+    head = ["lemma", "--id", "2.2"] if command == "lemma" else ["separate", "--qv", "vp:2", "0", "4"]
+    code, out, err = run(capsys, *head, f"--{flag}", str(limit + 1))
+    assert code == 2 and not out
+    assert err == f"error: --{flag} must be at most {limit}, got {limit + 1}\n"
+    with pytest.raises(SystemExit):  # --help states the limit
+        main([command, "--help"])
+    assert f"at most {limit}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("problem", [
     {"d": 2, "targets": [{"p": 3, "x": {"a": "1/x", "b": "0"}, "m": "1"}]},
     {"d": 2, "targets": [{"p": 3, "x": {"a": "1/0", "b": "0"}, "m": "1"}]},

@@ -7,7 +7,9 @@ mixes in malformed values and junk tokens.  Every generated number stays
 well below the factorization bound and the parser's digit limit, so no
 input is slow by design: an input that runs past the deadline is a hang,
 not a big instance.  The junk tokens "1e5000" and "1e-5000" are the
-exception, kept to check that the digit limit also holds for exponents.
+exception, kept to check that the digit limit also holds for exponents,
+and so are the malformed counts past each command's limit, which must be
+refused before any sampling.
 """
 
 import contextlib
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qval.cli import main
+from qval.cli import COUNT_LIMITS, main
 from qval.lemmas import LEMMA_IDS
 from qval.valuations import SplitKind, classify
 
@@ -127,16 +129,23 @@ def argvs(draw, workdir, well_formed):
         p, d = draw(st.sampled_from(PRIMES)), draw(st.sampled_from(DS))
         formats = ("json", "table")
         counts = st.integers(0, 8).map(str)
-        lemma_ids, instances = sorted(LEMMA_IDS), ("0", "1", "2")
+        lemma_ids, instances = sorted(LEMMA_IDS), st.sampled_from(("0", "1", "2"))
         bounds = st.one_of(st.integers(-6, 12).map(str), positive_rationals)
     else:
         p, d = draw(any_primes), draw(any_ds)
         formats = ("json", "xml", "")
         counts = st.one_of(st.integers(-2, 8).map(str), junk)
-        lemma_ids, instances = sorted(LEMMA_IDS) + ["2.99", ""], ("-1", "0", "2", "x")
+        lemma_ids = sorted(LEMMA_IDS) + ["2.99", ""]
+        instances = st.sampled_from(("-1", "0", "2", "x"))
         bounds = any_rationals
     spec, expr = specs(p, d, well_formed), expressions(d, well_formed)
     seeds = st.integers(0, 2**31).map(str)
+
+    def counted(command, flag, values):
+        """A count for the flag: malformed ones also run past its limit."""
+        if well_formed:
+            return values
+        return st.one_of(values, st.integers(COUNT_LIMITS[command, flag] + 1, 10**12).map(str))
 
     argv = []
     if draw(st.booleans()):
@@ -151,14 +160,15 @@ def argvs(draw, workdir, well_formed):
             argv.append("--closed")
         argv += draw(st.lists(expr, min_size=1, max_size=3))
     elif command == "axioms":
-        argv += ["--qv", draw(spec), "--samples", draw(counts), "--seed", draw(seeds)]
+        argv += ["--qv", draw(spec), "--samples", draw(counted("axioms", "samples", counts)),
+                 "--seed", draw(seeds)]
     elif command == "separate":
         argv += ["--qv", draw(spec), draw(expr), draw(expr),
-                 "--samples", draw(counts), "--seed", draw(seeds)]
+                 "--samples", draw(counted("separate", "samples", counts)), "--seed", draw(seeds)]
     elif command == "lemma":
         argv += ["--id", draw(st.sampled_from(lemma_ids)),
-                 "--instances", draw(st.sampled_from(instances)),
-                 "--samples", draw(counts), "--seed", draw(seeds)]
+                 "--instances", draw(counted("lemma", "instances", instances)),
+                 "--samples", draw(counted("lemma", "samples", counts)), "--seed", draw(seeds)]
     else:
         path = workdir / f"problem-{draw(st.integers(0, 20))}.json"
         path.write_text(_problem(draw, d, well_formed), encoding="utf-8")
