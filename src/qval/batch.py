@@ -6,8 +6,8 @@ and twice as many valuations per constructor; doing that through Fraction
 objects is an order of magnitude too slow for the harness's time budget.
 Here the samples become arrays of integer triples x = (A + B·√d)/Q, the
 sums and products of the n(n+1)/2 unordered pairs are formed by indexing
-with the upper triangle (one read-only pair of index arrays per n, in a
-bounded cache), and the constructor's own ``triple_value`` evaluates them
+with the upper triangle (read-only index arrays, cached per n up to a
+bound), and the constructor's own ``triple_value`` evaluates them
 one call per row-major block of at most ``PAIR_BLOCK`` pairs, the samples
 and their negations riding in the first (see ``pairwise_axiom_check``).
 The ball gauges w(y − c) that the topology checks compare against bounds
@@ -91,7 +91,7 @@ def point_clears(w, c, y, bound, strict: bool = False) -> bool:
     return (a == 0 and b == 0) or bool(clears(w, w.triple_value(a, b, q), False, bound, strict))
 
 
-@lru_cache(maxsize=4)  # at n = 2000 one entry holds 32 MB
+@lru_cache(maxsize=4)  # only for n ≤ CACHED_TRIANGLE_N
 def _pair_triangle(n: int):
     """(iu, ju): the unordered pairs i ≤ j of n samples, row-major, as
     read-only index arrays shared by every check of n samples."""
@@ -103,6 +103,9 @@ def _pair_triangle(n: int):
 # pairs per triple_value call: a block's arrays and the constructor's temporaries
 # stay small enough to reuse the heap instead of mapping fresh pages on every check
 PAIR_BLOCK = 4096
+# the triangle cache's 4 entries of 16·n(n+1)/2 bytes hold at most 32 MB; a larger n
+# builds its indices per check, a small cost beside the check
+CACHED_TRIANGLE_N = 1000
 
 
 def pairwise_axiom_check(w, samples):
@@ -135,7 +138,7 @@ def pairwise_axiom_check(w, samples):
     # ∞ enters every ordering through masks of zero triples, never as a
     # number, so finite values of any size (the sentinel's too) compare exactly
     infinite = (a == 0) & (b == 0)
-    iu, ju = _pair_triangle(n)
+    iu, ju = _pair_triangle(n) if n <= CACHED_TRIANGLE_N else np.triu_indices(n)
     m = len(iu)
     found = {kind: [] for kind in ("negation", "superadditive", "ultrametric", "equality-case")}
     checked = n + 2 * m

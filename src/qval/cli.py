@@ -23,8 +23,8 @@ from .topology import Ball, separation_witness
 
 
 # Counts past these are refused (exit 2) before any sampling.  Measured at the limits on a 2-core
-# Xeon: axioms 0.5 s and a 65 MB peak, the pair triangle's 32 MB included; separate 1–2 s and
-# 45 MB; lemma 2.15, the slowest check, 22 s with both counts at 1000.
+# Xeon: axioms 0.6 s and a 65 MB peak, the pair triangle's 32 MB included; separate 1.6–2.1 s and
+# 45 MB; lemma 2.18, the slowest check, 8.7 s with both counts at 1000 (2.15 5.6 s).
 MAX_AXIOM_SAMPLES = 2000
 COUNT_LIMITS = {("axioms", "samples"): MAX_AXIOM_SAMPLES, ("separate", "samples"): 100_000,
                 ("lemma", "instances"): 1000, ("lemma", "samples"): 1000}

@@ -11,6 +11,7 @@ sampled instance satisfied the statement.
 Ball members, and the points of 2.10 and 2.17, stay integer triples from
 the draw to the gauge row (see ``sampling``); a check builds the field
 element of a point only when it reports that point or centers a ball on it.
+A ball check draws an instance's members, then meets them in one gauge matrix.
 
 The string ids used by the CLI (`2.2`, `2.10`, ...) are stable names for
 the individual statements; see ``LEMMA_IDS``.
@@ -25,11 +26,12 @@ import numpy as np
 from .errors import DomainError, PropertyViolation
 from .quasi import MinOf, NAdic, Scaled, min_extension
 from .report import PropertyReport
-from .sampling import (_witness_above, ball_members, deck_triples, elements_for, grid_point,
-                       member_triples, shift_above, shift_below, shifted)
+from .sampling import (_randint, _witness_above, ball_members, deck_triples, elements_for,
+                       grid_point, member_triples, shift_above, shift_below, shifted)
 from .topology import (
     Ball,
     Side,
+    balls_contain,
     dichotomy,
     integer_refinement,
     membership_scaling_rows,
@@ -65,11 +67,11 @@ def _frozen_pool(extending_only: bool) -> tuple:
 
 
 def _random_bound(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-4, 8), rng.choice((1, 2)))
+    return Fraction(_randint(rng, -4, 8), _randint(rng, 1, 2))
 
 
 def _pick(pool, rng: random.Random):
-    return pool[rng.randrange(len(pool))]
+    return pool[_randint(rng, 0, len(pool) - 1)]
 
 
 def _one_element(w, rng: random.Random):
@@ -96,7 +98,7 @@ def check_recentering(seed: int, instances: int = 20, samples: int = 100) -> Pro
                         "y lies in both balls", str(exc))
             continue
         members = member_triples(ball, rng, samples)
-        in_first, in_second = first.contains_all(members), second.contains_all(members)
+        in_first, in_second = balls_contain((first, second), members)
         report.record(len(members))
         for k in np.flatnonzero(~(in_first & in_second)):
             report.fail(
@@ -122,8 +124,8 @@ def check_overlap_bound(seed: int, instances: int = 20, samples: int = 100) -> P
         minus_g, center = -g, field_triple(x, w.d)
         zs, ys = [], []
         for _ in range(samples):
-            zs.append(shifted(center, g, grid_point(w, rng)))
-            ys.append(shifted(zs[-1], minus_g, grid_point(w, rng)))
+            zs += shifted(center, g, [grid_point(w, rng)])
+            ys += shifted(zs[-1], minus_g, [grid_point(w, rng)])
         report.record(samples)
         for k in np.flatnonzero(~Ball(w, x, m, strict=True).contains_all(ys)):
             y, z = field_element(ys[k], w.d), field_element(zs[k], w.d)
@@ -149,10 +151,11 @@ def check_hausdorff_witnesses(seed: int, instances: int = 20, samples: int = 100
         m, ball_x, ball_y = separation_witness(w, x, y)
         report.record()  # each point lies in its own ball: w(0) = ∞ > m
         half = max(1, samples // 2)
-        for own, other in ((ball_x, ball_y), (ball_y, ball_x)):
-            members = member_triples(own, rng, half)
-            report.record(len(members))
-            for k in np.flatnonzero(other.contains_all(members)):
+        in_x, in_y = member_triples(ball_x, rng, half), member_triples(ball_y, rng, half)
+        inside = balls_contain((ball_y, ball_x), in_x + in_y)
+        report.record(len(in_x) + len(in_y))
+        for members, row in ((in_x, inside[0, :len(in_x)]), (in_y, inside[1, len(in_x):])):
+            for k in np.flatnonzero(row):
                 report.fail(
                     {"w": w, "x": x, "y": y, "z": field_element(members[k], w.d), "m": m},
                     "balls are disjoint",
@@ -207,9 +210,15 @@ def check_closed_ball_dichotomy(seed: int, instances: int = 20, samples: int = 1
         inside_y = x + shift_above(w, m, rng, strict=False)
         below, _ = shift_below(w, m, strict_ball=False)
         outside_y = x + below
+        points, drawn = [], []
         for y, expected in ((inside_y, Side.INSIDE), (outside_y, Side.OUTSIDE), (x, Side.INSIDE)):
             side, translated = dichotomy(ball, y)
-            report.record()
+            members = member_triples(translated, rng, samples // 2) if side is expected else []
+            report.record(1 + len(members))
+            drawn.append((y, expected, side, len(points), members))
+            points += members
+        inside = ball.contains_all(points)
+        for y, expected, side, start, members in drawn:
             if side is not expected:
                 report.fail(
                     {"w": w, "x": x, "y": y, "m": m},
@@ -217,9 +226,7 @@ def check_closed_ball_dichotomy(seed: int, instances: int = 20, samples: int = 1
                     side.value,
                 )
                 continue
-            members = member_triples(translated, rng, samples // 2)
-            report.record(len(members))
-            for k in np.flatnonzero(ball.contains_all(members) != (side is Side.INSIDE)):
+            for k in np.flatnonzero(inside[start:start + len(members)] != (side is Side.INSIDE)):
                 report.fail(
                     {"w": w, "x": x, "y": y, "z": field_element(members[k], w.d), "m": m},
                     f"translated ball stays {side.value}",
@@ -248,17 +255,23 @@ def check_integer_refinement(seed: int, instances: int = 20, samples: int = 100)
                 str(refinement.alpha),
             )
             continue
+        points, drawn = [], []
         for y in ball_members(ball, rng, max(2, samples // 10)):
             try:
-                piece = refinement.closed_piece(y)
+                piece, refusal = refinement.closed_piece(y), None
             except DomainError as exc:  # y was drawn from the ball
-                report.record()
+                piece, refusal = None, str(exc)
+            members = member_triples(piece, rng, 10) if piece else []
+            report.record(len(members) if piece else 1)
+            drawn.append((y, refusal, len(points), members))
+            points += members
+        escaped = ~ball.contains_all(points)
+        for y, refusal, start, members in drawn:
+            if refusal is not None:
                 report.fail({"w": w, "x": x, "y": y, "m": m},
-                            "sampled member lies in the strict ball", str(exc))
+                            "sampled member lies in the strict ball", refusal)
                 continue
-            members = member_triples(piece, rng, 10)
-            report.record(len(members))
-            for k in np.flatnonzero(~ball.contains_all(members)):
+            for k in np.flatnonzero(escaped[start:start + len(members)]):
                 report.fail(
                     {"w": w, "x": x, "y": y, "z": field_element(members[k], w.d), "m": m,
                      "alpha": refinement.alpha},
@@ -278,7 +291,7 @@ def check_threshold_chain(seed: int, instances: int = 20, samples: int = 100) ->
         xs = deck_triples(w.d, rng, samples)
         thresholds = []  # a = num/den as a triple over Q
         while len(thresholds) < samples:
-            num, den = rng.randint(-30, 30), rng.randint(1, 12)
+            num, den = _randint(rng, -30, 30), _randint(rng, 1, 12)
             if num:
                 thresholds.append(reduced(num, 0, den))
         report.record(samples)

@@ -15,6 +15,10 @@ element only for a point they report or center a ball on.
 ``rationals``, ``quad_elements``, ``elements_for``, ``ball_members`` and
 ``shift_above`` build the elements of the same draws.  All generators take
 an explicit ``random.Random`` so runs are reproducible from a recorded seed.
+
+Integer draws go through ``_randint``, CPython's ``randint`` in one call on
+``rng.getrandbits``, so the stream is ``randint``'s draw for draw; an rng
+class that draws otherwise (overriding only ``random()``) keeps ``randint``.
 """
 
 import math
@@ -26,6 +30,19 @@ from .quasi import coerce_to_field, graded_element, value_witness
 from .triples import field_element, field_triple, reduced
 
 Triple = tuple[int, int, int]
+_RANDBELOW = random.Random._randbelow_with_getrandbits
+
+
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """rng.randint(lo, hi); rng.choice(s) draws the index _randint(rng, 0, len(s) − 1)."""
+    if type(rng)._randbelow is not _RANDBELOW:
+        return rng.randint(lo, hi)
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
 
 
 def deck_triples(d: int | None, rng: random.Random, count: int, num_bound: int = 30,
@@ -38,11 +55,11 @@ def deck_triples(d: int | None, rng: random.Random, count: int, num_bound: int =
     if d is not None:
         validate_discriminant(d)
     while len(deck) < count:
-        a, a_den = rng.randint(-num_bound, num_bound), rng.randint(1, den_bound)
+        a, a_den = _randint(rng, -num_bound, num_bound), _randint(rng, 1, den_bound)
         if d is None:
             deck.append(reduced(a, 0, a_den))
         else:  # a/a_den + (b/b_den)·√d as one integer triple
-            b, b_den = rng.randint(-num_bound, num_bound), rng.randint(1, den_bound)
+            b, b_den = _randint(rng, -num_bound, num_bound), _randint(rng, 1, den_bound)
             deck.append(reduced(a * b_den, b * a_den, a_den * b_den))
     return deck[:count]
 
@@ -71,18 +88,18 @@ def elements_for(w, rng: random.Random, count: int, num_bound: int = 30,
 def grid_point(w, rng: random.Random, bound: int = 9) -> tuple[int, int]:
     """The integer coordinates (a, b) of a nonzero t = a + b·√d (b = 0 on Q), hence w(t) ≥ 0."""
     if w.d is None:
-        return rng.randint(1, bound) * rng.choice((1, -1)), 0
+        return _randint(rng, 1, bound) * (1, -1)[_randint(rng, 0, 1)], 0
     while True:
-        a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        a, b = _randint(rng, -bound, bound), _randint(rng, -bound, bound)
         if a or b:
             return a, b
 
 
-def shifted(c: Triple, g: Fraction, t: tuple[int, int]) -> Triple:
-    """c + g·t as a reduced triple, for a triple c, a rational g and grid coordinates t."""
-    (a, b, q), (ta, tb) = c, t
-    n, m = g.numerator, g.denominator
-    return reduced(a * m + q * n * ta, b * m + q * n * tb, q * m)
+def shifted(c: Triple, g: Fraction, ts) -> list[Triple]:
+    """c + g·t as reduced triples, for a triple c, a rational g and each grid point t of ts."""
+    (a, b, q), n, m = c, g.numerator, g.denominator
+    qn, am, bm, qm = q * n, a * m, b * m, q * m
+    return [reduced(am + qn * ta, bm + qn * tb, qm) for ta, tb in ts]
 
 
 def _witness_above(w, bound: Fraction, strict: bool) -> Fraction:
@@ -95,7 +112,7 @@ def _witness_above(w, bound: Fraction, strict: bool) -> Fraction:
 def shift_above(w, bound: Fraction, rng: random.Random, strict: bool):
     """A nonzero g·t with w(g·t) > bound (strict) or ≥ bound (closed)."""
     g = _witness_above(w, bound, strict)
-    return field_element(shifted((0, 0, 1), g, grid_point(w, rng)), w.d)
+    return field_element(shifted((0, 0, 1), g, [grid_point(w, rng)])[0], w.d)
 
 
 def member_triples(ball, rng: random.Random, count: int) -> list[Triple]:
@@ -106,7 +123,7 @@ def member_triples(ball, rng: random.Random, count: int) -> list[Triple]:
     members = [center]
     if count > 1:
         g = _witness_above(w, ball.bound, ball.strict)
-        members.extend(shifted(center, g, grid_point(w, rng)) for _ in range(count - 1))
+        members += shifted(center, g, (grid_point(w, rng) for _ in range(count - 1)))
     return members[:count]
 
 

@@ -14,8 +14,8 @@ denominator, against the bound as an integer (``batch.clears``).  Where
 many points meet one bound, the points come as the integer triples the
 samplers draw (``triples.field_triple`` converts an element), and each
 gauge is evaluated once per (center, point), as an integer matrix
-(``batch.gauge_matrix``): ``Ball.contains_all`` for the members of one ball
-(lemma 2.10's overlap bound among them), ``membership_scaling_rows`` for
+(``batch.gauge_matrix``): ``balls_contain`` (``Ball.contains_all`` for one
+ball) for a lemma instance's members, ``membership_scaling_rows`` for
 the four readings of lemma 2.17's threshold chain, one row each, and
 ``ring_value_equivalence`` for every sample, threshold and sampled center
 at once.  ``Ball.contains`` and ``QVRing.contains`` are the one-point case,
@@ -69,10 +69,8 @@ class Ball:
                             self.bound, self.strict)
 
     def contains_all(self, points):
-        """``contains`` for every point triple, as a bool array, from one row of gauges."""
-        center = field_triple(self.center, self.qv.d)
-        gauges, infinite = gauge_matrix(self.qv, [center], points)
-        return clears(self.qv, gauges[0], infinite[0], self.bound, self.strict)
+        """``contains`` for every point triple, as a bool array: one-ball ``balls_contain``."""
+        return balls_contain((self,), points)[0]
 
     def __contains__(self, y) -> bool:
         return self.contains(y)
@@ -80,6 +78,19 @@ class Ball:
     def __str__(self) -> str:
         kind = "U" if self.strict else "closedU"
         return f"{kind}_{self.bound}({self.center}; {self.qv})"
+
+
+def balls_contain(balls, points):
+    """``contains`` as a bool matrix (len(balls), len(points)) for balls of one w and point
+    triples, from one gauge matrix over the centers, each row cleared at its ball's bound."""
+    if not balls:
+        return np.zeros((0, len(points)), bool)
+    w = balls[0].qv
+    if any(ball.qv != w for ball in balls):
+        raise DomainError("balls live under different quasi-valuations")
+    gauges, infinite = gauge_matrix(w, [field_triple(ball.center, w.d) for ball in balls], points)
+    return np.stack([clears(w, row, at_center, ball.bound, ball.strict)
+                     for ball, row, at_center in zip(balls, gauges, infinite)])
 
 
 def recenter(first: Ball, second: Ball, y) -> Ball:

@@ -88,7 +88,17 @@ def hensel_sqrt(p: int, d: int, k: int, branch: int = 1) -> int:
 def _hensel_sqrt_cached(p: int, d: int, k: int, branch: int) -> int:
     seed = _split_seeds(p, d)[branch - 1]
     if p == 2:
-        return _hensel_sqrt_2(d, k, seed)
+        if k <= 2:
+            return seed % 2**k
+        # Newton's step on 1/√d, t ← t(3 − d·t²)/2, takes d·t² ≡ 1 from mod 2^prec to
+        # mod 2^(2·prec − 2), from t = 1 at prec = 3 (d ≡ 1 mod 8).  s = d·t then has
+        # s² ≡ d, and the root on the branch s mod 4 is unique mod 2^(k−1).
+        t, prec = 1, 3
+        while prec < k + 2:
+            prec = min(2 * prec - 2, k + 2)
+            t = (t * (3 - d * t * t) >> 1) % 2**prec
+        s = d * t
+        return (s if (s - seed) % 4 == 0 else -s) % 2 ** (k - 1)
     # Newton iteration s ← (s + d/s)/2 doubles the precision each step
     s = seed
     prec = 1
@@ -98,20 +108,6 @@ def _hensel_sqrt_cached(p: int, d: int, k: int, branch: int) -> int:
         mod = p**prec
         s = (s + d * pow(s, -1, mod)) * inv2 % mod
     return s % p**k
-
-
-def _hensel_sqrt_2(d: int, k: int, seed: int) -> int:
-    # One bit per step: s² ≡ d mod 2^j and s odd force the next bit of s.
-    # The update adds 2^(j-1), so s mod 4 — the branch — never moves.
-    if k <= 2:
-        return seed % 2**k
-    s = seed  # d ≡ 1 mod 8, so s² ≡ d mod 8 already holds for odd s
-    j = 3
-    while j < k:
-        c = ((d - s * s) >> j) & 1
-        s += c << (j - 1)
-        j += 1
-    return s % 2**k
 
 
 @dataclass(frozen=True)

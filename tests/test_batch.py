@@ -413,6 +413,26 @@ def test_the_pair_triangle_is_cached_and_read_only():
             index[0] = 1
 
 
+def test_the_pair_triangle_is_cached_only_up_to_its_bound(monkeypatch):
+    # n = 1001 builds its indices per check, and finds the violations the cached
+    # triangle finds; n = 1000 is cached
+    w = _FlippedAtFour(PAdicValuation(2))
+    n = batch.CACHED_TRIANGLE_N
+    samples = elements_for(w, random.Random(3), n) + [4]
+    batch._pair_triangle.cache_clear()
+    try:
+        batch.pairwise_axiom_check(w, samples[1:])
+        assert batch._pair_triangle.cache_info().currsize == 1
+        batch._pair_triangle.cache_clear()
+        uncached = batch.pairwise_axiom_check(w, samples)
+        assert uncached[1] and batch._pair_triangle.cache_info().currsize == 0
+        monkeypatch.setattr(batch, "CACHED_TRIANGLE_N", n + 1)
+        assert batch.pairwise_axiom_check(w, samples) == uncached
+        assert batch._pair_triangle.cache_info().currsize == 1
+    finally:
+        batch._pair_triangle.cache_clear()  # 8 MB an entry
+
+
 def test_threads_check_as_serial_calls_do():
     # eleven sample counts, more than the triangle cache holds, so threads
     # evict each other's entries while they check; 128 takes three blocks

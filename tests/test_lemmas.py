@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qval import cli, lemmas
+from qval import cli, lemmas, topology
+from qval.batch import gauge_matrix
 from qval.errors import DomainError, PropertyViolation
 from qval.lemmas import (LEMMA_IDS, _one_element, _pick, _random_bound, constructor_pool,
                          run_lemma)
@@ -388,6 +389,21 @@ def test_ball_rows_match_the_element_loops(monkeypatch, setup):
                 assert got == reference(seed, instances, samples).to_dict(), (lemma_id, seed)
                 failures += len(got["failures"])
     assert (failures > 0) == (setup is not None)
+
+
+@pytest.mark.parametrize("lemma_id", ["2.2", "2.11", "2.14", "2.15"])
+def test_ball_checks_make_one_gauge_matrix_per_instance(monkeypatch, lemma_id):
+    calls = []
+
+    def recording(w, centers, points):
+        calls.append((len(centers), len(points)))
+        return gauge_matrix(w, centers, points)
+
+    monkeypatch.setattr(topology, "gauge_matrix", recording)
+    for seed in range(4):
+        calls.clear()
+        report = run_lemma(lemma_id, seed, instances=5, samples=30)
+        assert report.passed and len(calls) == 5, (seed, calls)
 
 
 MEMBER_INPUTS = frozenset("mwxyz")  # a sampled member z broke the claim

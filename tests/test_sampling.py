@@ -8,10 +8,55 @@ from qval.errors import DomainError
 from qval.lemmas import constructor_pool
 from qval.quadratic import QuadElem
 from qval.quasi import coerce_to_field, value_witness
-from qval.sampling import (ball_members, deck_triples, elements_for, grid_point, member_triples,
-                           quad_elements)
+from qval.sampling import (_randint, ball_members, deck_triples, elements_for, grid_point,
+                           member_triples, quad_elements)
 from qval.topology import Ball
 from qval.triples import field_element, field_triple
+
+
+# _randint is CPython's randint on getrandbits; the samplers rely on its stream
+# being randint's, draw for draw, on every Python version they run on.
+
+WIDTHS = (1, 2, 19, 61, *(2**k + e for k in (2, 3, 5, 8, 13, 31, 32, 64, 100) for e in (-1, 0, 1)))
+
+
+class _FloatOnly(random.Random):
+    """Overrides only random(), so its randint draws through random(), not getrandbits."""
+
+    def random(self):
+        return super().random()
+
+
+def test_randint_draws_the_randint_stream():
+    draws = 0
+    for seed in range(5):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(1400):
+            for width in WIDTHS:
+                lo = -(width // 3)
+                assert _randint(ours, lo, lo + width - 1) == theirs.randint(lo, lo + width - 1)
+            for options in ((1, -1), (1, 2), (-2, 0, 3, 7)):
+                assert options[_randint(ours, 0, len(options) - 1)] == theirs.choice(options)
+                assert _randint(ours, 0, len(options) - 1) == theirs.randrange(len(options))
+            draws += len(WIDTHS) + 6
+        assert ours.getstate() == theirs.getstate(), seed
+    assert draws >= 200_000
+
+
+def test_randint_keeps_the_stream_of_a_float_only_subclass():
+    differs = False
+    for seed in range(5):
+        ours, theirs, plain = _FloatOnly(seed), _FloatOnly(seed), random.Random(seed)
+        for _ in range(200):
+            for width in (2, 19, 61, 2**13 + 1):
+                got = _randint(ours, 1, width)
+                assert got == theirs.randint(1, width)
+                differs |= got != plain.randint(1, width)
+        assert ours.getstate() == theirs.getstate(), seed
+        new, old = _FloatOnly(seed), _FloatOnly(seed)
+        assert quad_elements(new, 5, 40) == _fraction_built_quad_elements(old, 5, 40)
+        assert new.getstate() == old.getstate()
+    assert differs
 
 
 # The samplers as they were written with Fractions and the public constructor:

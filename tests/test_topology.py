@@ -12,6 +12,7 @@ from qval.sampling import ball_members, elements_for, rationals, shift_above
 from qval.topology import (
     Ball,
     Side,
+    balls_contain,
     dichotomy,
     integer_refinement,
     membership_scaling_chain,
@@ -445,3 +446,24 @@ def test_contains_all_past_the_sentinel():
         points = [0, 4, 8, 2]
         assert ball.contains_all(_on(None, points)).tolist() == [ball.contains(y) for y in points]
         assert ball.contains_all(_on(None, points)).tolist() == [True, not strict, True, False]
+
+
+def test_balls_contain_agrees_with_contains():
+    rng = random.Random(18)
+    for w in constructor_pool():
+        points = elements_for(w, rng, 20)
+        balls = [Ball(w, points[rng.randrange(len(points))], bound, strict=strict)
+                 for bound in (Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(3))
+                 for strict in (True, False)]
+        points += [z for ball in balls for z in ball_members(ball, rng, 3)]
+        inside = balls_contain(balls, _on(w.d, points))
+        assert inside.dtype == bool and inside.shape == (len(balls), len(points))
+        assert inside.tolist() == [[ball.contains(y) for y in points] for ball in balls], w
+
+
+def test_balls_contain_on_empty_input_and_mixed_constructors():
+    balls = (Ball(V2, 0, 0), Ball(V2, 1, Fraction(1, 2), strict=False))
+    assert balls_contain(balls, []).shape == (2, 0)
+    assert balls_contain((), _on(None, [0, 1, 2])).shape == (0, 3)
+    with pytest.raises(DomainError):
+        balls_contain((Ball(V2, 0, 0), Ball(V3, 0, 0)), _on(None, [1]))

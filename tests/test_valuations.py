@@ -117,6 +117,27 @@ def test_hensel_branches_are_opposite_roots():
             assert s1 % p != s2 % p
 
 
+def _bitwise_hensel_sqrt_2(d, k, seed):
+    """The bit-by-bit 2-adic lift hensel_sqrt used before its Newton step: s² ≡ d mod 2^j
+    and s odd force the next bit of s, and the update never moves s mod 4."""
+    if k <= 2:
+        return seed % 2**k
+    s = seed
+    j = 3
+    while j < k:
+        c = ((d - s * s) >> j) & 1
+        s += c << (j - 1)
+        j += 1
+    return s % 2**k
+
+
+def test_hensel_sqrt_at_two_matches_the_bitwise_lift():
+    for d in (17, -7, 33, -15, 65537):
+        for branch, seed in ((1, 1), (2, 3)):
+            for k in [*range(1, 161), 400, 1000, 3000]:
+                assert hensel_sqrt(2, d, k, branch) == _bitwise_hensel_sqrt_2(d, k, seed), (d, k)
+
+
 def test_hensel_rejects_non_split():
     with pytest.raises(DomainError):
         hensel_sqrt(5, 2, 3)
