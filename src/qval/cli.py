@@ -18,13 +18,14 @@ from .lemmas import LEMMA_IDS, run_lemma
 from .quasi import check_axioms
 from .qvspec import GRAMMAR_HELP, parse_qv
 from .report import PropertyReport
-from .sampling import ball_members, elements_for
-from .topology import Ball, separation_witness
+from .sampling import elements_for, member_triples
+from .topology import Ball, separation_witness, shared_members
+from .triples import field_element
 
 
 # Counts past these are refused (exit 2) before any sampling.  Measured at the limits on a 2-core
-# Xeon: axioms 0.6 s and a 65 MB peak, the pair triangle's 32 MB included; separate 1.6–2.1 s and
-# 45 MB; lemma 2.18, the slowest check, 8.7 s with both counts at 1000 (2.15 5.6 s).
+# Xeon: axioms 0.6 s and a 65 MB peak, the pair triangle's 32 MB included; separate 0.8–0.9 s and
+# 81 MB; lemma 2.18, the slowest check, 8.7 s with both counts at 1000 (2.15 5.6 s).
 MAX_AXIOM_SAMPLES = 2000
 COUNT_LIMITS = {("axioms", "samples"): MAX_AXIOM_SAMPLES, ("separate", "samples"): 100_000,
                 ("lemma", "instances"): 1000, ("lemma", "samples"): 1000}
@@ -161,11 +162,10 @@ def cmd_separate(args) -> int:
     m, ball_x, ball_y = separation_witness(qv, x, y)
     rng = random.Random(args.seed)
     report = PropertyReport(lemma="hausdorff-separation", seed=args.seed)
-    for ball, other in ((ball_x, ball_y), (ball_y, ball_x)):
-        for z in ball_members(ball, rng, args.samples):
-            report.record()
-            if other.contains(z):
-                report.fail({"z": z}, "balls are disjoint", "z lies in both")
+    in_x, in_y = (member_triples(ball, rng, args.samples) for ball in (ball_x, ball_y))
+    report.record(len(in_x) + len(in_y))
+    for z in shared_members(ball_x, ball_y, in_x, in_y):
+        report.fail({"z": field_element(z, qv.d)}, "balls are disjoint", "z lies in both")
     if args.format == "table":
         print(f"witness bound m = {m}")
         print(f"  {ball_x}")

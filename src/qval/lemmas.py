@@ -26,8 +26,9 @@ import numpy as np
 from .errors import DomainError, PropertyViolation
 from .quasi import MinOf, NAdic, Scaled, min_extension
 from .report import PropertyReport
-from .sampling import (_randint, _witness_above, ball_members, deck_triples, elements_for,
-                       grid_point, member_triples, shift_above, shift_below, shifted)
+from .sampling import (_drawn_triple, _randint, _witness_above, ball_members, deck_triples,
+                       elements_for, grid_point, member_triples, shift_above, shift_below,
+                       shifted)
 from .topology import (
     Ball,
     Side,
@@ -38,6 +39,7 @@ from .topology import (
     recenter,
     ring_value_equivalence,
     separation_witness,
+    shared_members,
     threshold_disagreement,
 )
 from .triples import field_element, field_triple, reduced
@@ -75,7 +77,11 @@ def _pick(pool, rng: random.Random):
 
 
 def _one_element(w, rng: random.Random):
-    return field_element(deck_triples(w.d, rng, 8, include_zero=False)[-1], w.d)
+    """The element of deck_triples(w.d, rng, 8, include_zero=False)[-1], with that deck's
+    draws (after its 2 fixed entries on Q, 3 on Q(√d)); only the kept draw is reduced."""
+    for _ in range(6 if w.d is None else 5):
+        t = _drawn_triple(w.d, rng)
+    return field_element(reduced(*t), w.d)
 
 
 def check_recentering(seed: int, instances: int = 20, samples: int = 100) -> PropertyReport:
@@ -152,15 +158,10 @@ def check_hausdorff_witnesses(seed: int, instances: int = 20, samples: int = 100
         report.record()  # each point lies in its own ball: w(0) = ∞ > m
         half = max(1, samples // 2)
         in_x, in_y = member_triples(ball_x, rng, half), member_triples(ball_y, rng, half)
-        inside = balls_contain((ball_y, ball_x), in_x + in_y)
         report.record(len(in_x) + len(in_y))
-        for members, row in ((in_x, inside[0, :len(in_x)]), (in_y, inside[1, len(in_x):])):
-            for k in np.flatnonzero(row):
-                report.fail(
-                    {"w": w, "x": x, "y": y, "z": field_element(members[k], w.d), "m": m},
-                    "balls are disjoint",
-                    "z lies in both",
-                )
+        for z in shared_members(ball_x, ball_y, in_x, in_y):
+            report.fail({"w": w, "x": x, "y": y, "z": field_element(z, w.d), "m": m},
+                        "balls are disjoint", "z lies in both")
     return report
 
 

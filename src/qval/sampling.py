@@ -45,6 +45,16 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
     return lo + r
 
 
+def _drawn_triple(d: int | None, rng: random.Random, num_bound: int = 30,
+                  den_bound: int = 12) -> Triple:
+    """One drawn deck entry, unreduced: a/a_den, plus (b/b_den)·√d over Q(√d)."""
+    a, a_den = _randint(rng, -num_bound, num_bound), _randint(rng, 1, den_bound)
+    if d is None:
+        return a, 0, a_den
+    b, b_den = _randint(rng, -num_bound, num_bound), _randint(rng, 1, den_bound)
+    return a * b_den, b * a_den, a_den * b_den
+
+
 def deck_triples(d: int | None, rng: random.Random, count: int, num_bound: int = 30,
                  den_bound: int = 12, include_zero: bool = True) -> list[Triple]:
     """Random elements of Q (d is None) or Q(√d) as reduced triples: 0, ±1 and, over
@@ -55,12 +65,7 @@ def deck_triples(d: int | None, rng: random.Random, count: int, num_bound: int =
     if d is not None:
         validate_discriminant(d)
     while len(deck) < count:
-        a, a_den = _randint(rng, -num_bound, num_bound), _randint(rng, 1, den_bound)
-        if d is None:
-            deck.append(reduced(a, 0, a_den))
-        else:  # a/a_den + (b/b_den)·√d as one integer triple
-            b, b_den = _randint(rng, -num_bound, num_bound), _randint(rng, 1, den_bound)
-            deck.append(reduced(a * b_den, b * a_den, a_den * b_den))
+        deck.append(reduced(*_drawn_triple(d, rng, num_bound, den_bound)))
     return deck[:count]
 
 

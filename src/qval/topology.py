@@ -15,8 +15,9 @@ many points meet one bound, the points come as the integer triples the
 samplers draw (``triples.field_triple`` converts an element), and each
 gauge is evaluated once per (center, point), as an integer matrix
 (``batch.gauge_matrix``): ``balls_contain`` (``Ball.contains_all`` for one
-ball) for a lemma instance's members, ``membership_scaling_rows`` for
-the four readings of lemma 2.17's threshold chain, one row each, and
+ball, ``shared_members`` for two separating balls) for a lemma instance's
+members, ``membership_scaling_rows`` for the four readings of lemma 2.17's
+threshold chain (w(x) and w(x·a⁻¹) in one row), and
 ``ring_value_equivalence`` for every sample, threshold and sampled center
 at once.  ``Ball.contains`` and ``QVRing.contains`` are the one-point case,
 on Python ints; ``Ball.gauge`` builds the ``Value`` for display.
@@ -91,6 +92,14 @@ def balls_contain(balls, points):
     gauges, infinite = gauge_matrix(w, [field_triple(ball.center, w.d) for ball in balls], points)
     return np.stack([clears(w, row, at_center, ball.bound, ball.strict)
                      for ball, row, at_center in zip(balls, gauges, infinite)])
+
+
+def shared_members(ball_x, ball_y, in_x, in_y) -> list:
+    """The triples of in_x that lie in ball_y, then those of in_y that lie in ball_x:
+    both balls met in one gauge matrix."""
+    inside = balls_contain((ball_y, ball_x), in_x + in_y)
+    return ([in_x[k] for k in np.flatnonzero(inside[0, :len(in_x)])]
+            + [in_y[k] for k in np.flatnonzero(inside[1, len(in_x):])])
 
 
 def recenter(first: Ball, second: Ball, y) -> Ball:
@@ -194,9 +203,9 @@ def _over(x, a):
 
 def membership_scaling_rows(w, xs, thresholds) -> list[tuple[bool, bool, bool, bool]]:
     """The readings (a)–(d) of ``membership_scaling_chain`` for each pair (x, a),
-    given as triples of w's field and of Q, each from its own row: w(x) against
-    the ``PAdicValuation(p)`` row of v(a) for (a) and (b), w(x·a⁻¹) for (c),
-    ``QVRing.contains_all`` for (d)."""
+    given as triples of w's field and of Q, each from its own slice: w(x) against
+    the ``PAdicValuation(p)`` row of v(a) for (a) and (b), w(x·a⁻¹) for (c), both
+    from one row of w over xs then the x·a⁻¹, and ``QVRing.contains_all`` for (d)."""
     if len(xs) != len(thresholds):
         raise DomainError(f"{len(xs)} elements against {len(thresholds)} thresholds")
     if not all(a for a, _, _ in thresholds):
@@ -205,9 +214,10 @@ def membership_scaling_rows(w, xs, thresholds) -> list[tuple[bool, bool, bool, b
     den = w.value_denominator
     origin = [(0, 0, 1)]
     (va,), _ = gauge_matrix(PAdicValuation(p), origin, thresholds)
-    (wx,), (x_zero,) = gauge_matrix(w, origin, xs)
     scaled = [_over(x, a) for x, a in zip(xs, thresholds)]
-    (wxa,), (xa_zero,) = gauge_matrix(w, origin, scaled)
+    (row,), (zero,) = gauge_matrix(w, origin, xs + scaled)
+    n = len(xs)
+    wx, wxa, x_zero, xa_zero = row[:n], row[n:], zero[:n], zero[n:]
     return list(zip(
         (x_zero | (wx >= va * den)).tolist(),
         (x_zero | (wx - va * den >= 0)).tolist(),

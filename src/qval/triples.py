@@ -23,9 +23,10 @@ input (a norm, A + B·seed, a rescaled value) goes through ``formed``, which
 moves just those operands to Python ints where the result could reach it.
 
 On int64 arrays ``multiplicity`` divides nothing (the lowest set bit at
-p = 2, a multiply by p⁻¹ mod 2^64 at odd p), and ``least_multiplicity``
-runs the same test on two arrays at once; on dtype=object arrays they
-divide only the entries still divisible.
+p = 2, a multiply by p⁻¹ mod 2^64 at odd p); on dtype=object arrays it
+divides only the entries still divisible.  ``least_multiplicity`` is the
+one joint sweep of two arrays: it gives m = min(v_p(x), v_p(y)) and which
+of the two is still divisible at m, all a content or a ramified value reads.
 """
 
 from fractions import Fraction
@@ -145,31 +146,44 @@ def multiplicity(x, p: int):
 
 
 def least_multiplicity(x, y, p: int):
-    """min(multiplicity(x, p), multiplicity(y, p)) for same-shape x and y: INF where both are 0.
+    """(m, x_past, y_past) for same-shape x and y: m = min(multiplicity(x, p),
+    multiplicity(y, p)), INF where both are 0, and x_past (y_past) whether
+    multiplicity(x, p) > m, that is, whether x is still divisible at m (0 always is).
 
-    At p = 2 this is the lowest set bit of x | y.  On int64 arrays at odd p
-    one sweep runs ``multiplicity``'s test on both, and an entry leaves it
-    as soon as either is no longer divisible.
+    On int64 arrays at p = 2, m is the lowest set bit lb of x | y, and
+    x & lb is 0 just where x is still divisible.  At odd p one sweep runs
+    ``multiplicity``'s test on both, an entry leaves it as soon as either is
+    no longer divisible, and the test at its exit gives the two flags.  On
+    Python ints and dtype=object arrays the flags compare two multiplicities.
     """
-    if p == 2:
-        return multiplicity(x | y, 2)
     if not isinstance(x, np.ndarray) or x.dtype == object:
-        return minimum(multiplicity(x, p), multiplicity(y, p))
-    inv, limit = np.uint64(pow(p, -1, 1 << 64)), np.uint64((2**64 - 1) // p)
+        vx, vy = multiplicity(x, p), multiplicity(y, p)
+        m = minimum(vx, vy)
+        return m, vx > m, vy > m
     fx, fy = x.ravel(), y.ravel()
-    zero = (fx == 0) & (fy == 0)
-    cx, cy = (np.abs(f).view(np.uint64) * inv for f in (fx, fy))
-    at = (~zero & (cx <= limit) & (cy <= limit)).nonzero()[0]
-    cx, cy = cx[at], cy[at]
-    v = np.zeros(fx.shape, dtype=np.int64)
-    while at.size:
-        v[at] += 1
-        cx *= inv
-        cy *= inv
-        still = (cx <= limit) & (cy <= limit)
-        at, cx, cy = at[still], cx[still], cy[still]
+    if p == 2:
+        either = fx | fy
+        lb = either & -either
+        v = np.frexp(lb)[1].astype(np.int64) - 1
+        x_past, y_past, zero = (fx & lb) == 0, (fy & lb) == 0, lb == 0
+    else:
+        inv, limit = np.uint64(pow(p, -1, 1 << 64)), np.uint64((2**64 - 1) // p)
+        zero = (fx == 0) & (fy == 0)
+        cx, cy = (np.abs(f).view(np.uint64) * inv for f in (fx, fy))
+        x_past, y_past = cx <= limit, cy <= limit
+        at = (~zero & x_past & y_past).nonzero()[0]
+        cx, cy = cx[at], cy[at]
+        v = np.zeros(fx.shape, dtype=np.int64)
+        while at.size:
+            v[at] += 1
+            cx *= inv
+            cy *= inv
+            dx, dy = cx <= limit, cy <= limit
+            x_past[at], y_past[at] = dx, dy
+            still = dx & dy
+            at, cx, cy = at[still], cx[still], cy[still]
     v[zero] = INF
-    return v.reshape(x.shape)
+    return v.reshape(x.shape), x_past.reshape(x.shape), y_past.reshape(x.shape)
 
 
 def minimum(x, y):

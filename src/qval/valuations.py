@@ -3,8 +3,9 @@
 A rational prime p behaves in one of three ways in Q(√d):
 
 * **ramified**  — p divides the field discriminant (d if d ≡ 1 mod 4, else
-  4d).  There is a single extension with value group (1/2)Z, computed as
-  v_p(norm(x)) / 2.
+  4d).  There is a single extension with value group (1/2)Z, v_p(norm(x))/2,
+  read in closed form from v_p(A) and v_p(B) without forming the norm
+  (see ``ExtendedValuation._ramified_value``).
 * **inert** — d is a non-residue: again a single extension, value group Z,
   the p-content of x in an integral basis (``content_value``).
 * **split** — d is a nonzero residue (d ≡ 1 mod 8 when p = 2): there are
@@ -81,11 +82,6 @@ def hensel_sqrt(p: int, d: int, k: int, branch: int = 1) -> int:
         raise DomainError(f"precision must be >= 1, got {k}")
     if branch not in (1, 2):
         raise DomainError(f"branch must be 1 or 2, got {branch}")
-    return _hensel_sqrt_cached(p, d, k, branch)
-
-
-@lru_cache(maxsize=1024)
-def _hensel_sqrt_cached(p: int, d: int, k: int, branch: int) -> int:
     seed = _split_seeds(p, d)[branch - 1]
     if p == 2:
         if k <= 2:
@@ -182,10 +178,20 @@ class ExtendedValuation(QuasiValuation):
             return self._split_value(a, b, q)
         if self.kind is SplitKind.INERT:
             return content_value(self.p, a, b, q)
-        # ramified: v_p of the norm, which is multiplicative and nonzero off
-        # 0, in half-units (value_denominator 2)
-        v_norm = multiplicity(norm_form(a, b, self.d), self.p) - 2 * multiplicity(q, self.p)
-        return clamp_inf(v_norm, (a == 0) & (b == 0))
+        return self._ramified_value(a, b, q)
+
+    def _ramified_value(self, a, b, q):
+        """v_p(A² − d·B²) − 2·v_p(Q), w(x) in half-units, from a = v_p(A), b = v_p(B).
+
+        With m = min(a, b): where v_p(d) = 1 (odd p, or d ≡ 2 mod 4 at p = 2;
+        d is squarefree) v_p(A²) = 2a is even and v_p(d·B²) = 2b + 1 odd, so
+        they never tie and v_p(A² − d·B²) = 2m + [a > m].  At p = 2 with
+        d ≡ 3 mod 4, 2a and 2b tie only where a = b, and then the value is
+        2m + 1, since A′² − d·B′² ≡ 1 − d ≡ 2 (mod 4) for odd A′ and B′.
+        """
+        m, a_past, b_past = least_multiplicity(a, b, self.p)
+        odd = a_past == b_past if self.p == 2 and self.d % 4 == 3 else a_past
+        return clamp_inf(2 * m + odd - 2 * multiplicity(q, self.p), (a == 0) & (b == 0))
 
     def _split_value(self, a, b, q):
         """v_p(A + B·s) − v_p(Q), exactly, for the branch's p-adic root s of d.
@@ -242,7 +248,7 @@ def content_value(p: int, a, b, q):
     (d ≡ 1 mod 4) it is 1, (1 + √d)/2, and A + B·√d = (A − B) + 2B·(1 + √d)/2.
     """
     # int64 entries are below INT64_LIMIT, so A − B and 2B fit
-    v = least_multiplicity(a - b, 2 * b, 2) if p == 2 else least_multiplicity(a, b, p)
+    v, _, _ = least_multiplicity(a - b, 2 * b, 2) if p == 2 else least_multiplicity(a, b, p)
     return clamp_inf(v - multiplicity(q, p), (a == 0) & (b == 0))
 
 

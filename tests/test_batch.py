@@ -11,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qval.batch as batch
+import qval.triples
+import qval.valuations
 from qval.errors import DomainError
 from qval.quadratic import QuadElem
 from qval.quasi import MinOf, NAdic, Scaled, check_axioms, min_extension
@@ -284,23 +286,28 @@ def _criterion_1_constructors(d):
             extensions_of(split_p, d)[1], min_extension(split_p, d)]
 
 
+def _wide_samples(d):
+    """Coordinates up to 10^4 over denominators up to 12, the extremes pinned:
+    |A|, |B| up to 12·10^4 and Q up to 132 in the sample triples, over Q (d is
+    None) or Q(√d).  The norms of their pairwise products pass 2^62."""
+    n = 10**4
+    if d is None:
+        return [Fraction(0), Fraction(1), Fraction(n), Fraction(1, 12),
+                Fraction(n, 11), Fraction(-n, 12)]
+    return [QuadElem(0, 0, d), QuadElem(1, 0, d), QuadElem(0, 1, d),
+            QuadElem(n, Fraction(1, 12), d), QuadElem(Fraction(1, 12), n, d),
+            QuadElem(Fraction(n, 11), Fraction(-n, 12), d),
+            QuadElem(Fraction(-n, 12), Fraction(n, 11), d)]
+
+
 @pytest.mark.parametrize("p, d", [(5, -1), (7, 2), (11, 5), (2, -7),
                                   pytest.param(None, None, id="Q")])
 def test_split_constructors_take_int64_on_wide_inputs(monkeypatch, p, d):
-    # coordinates up to 10^4 over denominators up to 12, the extremes pinned:
-    # |A|, |B| up to 12·10^4 and Q up to 132 in the sample triples.  The
-    # norms of their pairwise products pass 2^62; the constructors size
-    # those themselves, so the engine takes int64 on every one
-    n = 10**4
-    if d is None:
-        samples = [Fraction(0), Fraction(1), Fraction(n), Fraction(1, 12),
-                   Fraction(n, 11), Fraction(-n, 12)]
-    else:
+    # the constructors size the norms of the wide samples' pairwise products
+    # themselves, so the engine takes int64 on every one
+    if d is not None:
         assert primes_by_kind(d, SplitKind.SPLIT)[0] == p
-        samples = [QuadElem(0, 0, d), QuadElem(1, 0, d), QuadElem(0, 1, d),
-                   QuadElem(n, Fraction(1, 12), d), QuadElem(Fraction(1, 12), n, d),
-                   QuadElem(Fraction(n, 11), Fraction(-n, 12), d),
-                   QuadElem(Fraction(-n, 12), Fraction(n, 11), d)]
+    samples = _wide_samples(d)
     chosen = []
 
     def recording(*args):
@@ -315,8 +322,35 @@ def test_split_constructors_take_int64_on_wide_inputs(monkeypatch, p, d):
     assert chosen == [np.int64] * len(constructors)
 
 
-# Every constructor shape, each sizing site among them: the ramified norm,
-# the split form A + B·seed (p = 2 included), MinOf over members with
+@pytest.mark.parametrize("d", [-1, 2, 5, -7])
+def test_ramified_constructors_stay_on_int64_on_wide_inputs(monkeypatch, d):
+    # the ramified value is read from v_p(A), v_p(B) and v_p(Q): no norm is
+    # formed and no array of the wide samples' check moves to Python ints
+    w = extensions_of(primes_by_kind(d, SplitKind.RAMIFIED)[0], d)[0]
+    seen = []
+
+    def recording(kernel):
+        def record(*args):
+            seen.extend(x.dtype for x in args if isinstance(x, np.ndarray))
+            return kernel(*args)
+        return record
+
+    def forming(*args, **kwargs):
+        raise AssertionError("a ramified value formed an integer")
+
+    kernels = qval.triples
+    for module in (kernels, qval.valuations):
+        monkeypatch.setattr(module, "multiplicity", recording(kernels.multiplicity))
+        monkeypatch.setattr(module, "formed", forming)
+    monkeypatch.setattr(qval.valuations, "least_multiplicity", recording(kernels.least_multiplicity))
+    monkeypatch.setattr(qval.valuations, "norm_form", forming)
+    assert batch.pairwise_axiom_check(w, _wide_samples(d))[1] == []
+    assert seen and set(seen) == {np.dtype(np.int64)}
+
+
+# Every constructor shape, each sizing site among them: the split form
+# A + B·seed (p = 2 included) and its norm, the ramified extensions, which
+# form no integer beyond their input, MinOf over members with
 # different value denominators, and Scaled with a numerator that would carry
 # the sentinel past the limit (2^23·INF = 2^63, though only finite values
 # are sized) or every value past it (40 digits), alone and around a MinOf.

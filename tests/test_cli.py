@@ -1,12 +1,20 @@
 import json
+import random
 
 import pytest
 
 from qval.approximation import dump_problem, ApproxTarget
-from qval import cli
+from qval import cli, topology
+from qval.batch import gauge_matrix
 from qval.cli import main
+from qval.exprparse import parse_element
 from qval.quadratic import QuadElem
-from qval.valuations import hensel_sqrt
+from qval.qvspec import parse_qv
+from qval.report import PropertyReport
+from qval.sampling import ball_members
+from qval.topology import separation_witness
+from qval.triples import QuasiValuation
+from qval.valuations import PAdicValuation, hensel_sqrt
 from fractions import Fraction
 
 
@@ -79,6 +87,61 @@ def test_separate_counts_one_check_per_sample(capsys):
         code, out, _ = run(capsys, "separate", "--qv", "vp:2", "0", "4", "--samples", samples)
         assert code == 0
         assert out.splitlines()[-1] == f"hausdorff-separation: pass [{checks} checks]"
+
+
+class _HalvedV2(QuasiValuation):
+    """v_2 with its values halved: no quasi-valuation, so the two balls that
+    separate 0 and 4 share members."""
+
+    d = None
+    extended_prime = 2
+    base_primes = frozenset((2,))
+
+    def triple_value(self, a, b, q):
+        return PAdicValuation(2).triple_value(a, b, q) // 2
+
+    def __str__(self):
+        return "halved-vp:2"
+
+
+def _separation_by_elements(qv, x, y, samples, seed):
+    """The `separate` report from the element loop: every member an element,
+    tested with the other ball's scalar ``contains``."""
+    _, ball_x, ball_y = separation_witness(qv, x, y)
+    rng = random.Random(seed)
+    report = PropertyReport(lemma="hausdorff-separation", seed=seed)
+    for ball, other in ((ball_x, ball_y), (ball_y, ball_x)):
+        for z in ball_members(ball, rng, samples):
+            report.record()
+            if other.contains(z):
+                report.fail({"z": z}, "balls are disjoint", "z lies in both")
+    return report
+
+
+@pytest.mark.parametrize("spec, x, y", [("halved", "0", "4"), ("vp:2", "0", "4"),
+                                        ("split1:7,d=2", "0", "1"), ("ram:2,d=-1", "1/2", "sqrt(-1)"),
+                                        ("nadic:6", "0", "1/3")])
+def test_separate_meets_both_balls_in_one_gauge_matrix(monkeypatch, capsys, spec, x, y):
+    qv = _HalvedV2() if spec == "halved" else parse_qv(spec)
+    expected = _separation_by_elements(qv, parse_element(x), parse_element(y), 40, 5).to_dict()
+    assert bool(expected["failures"]) == (spec == "halved")
+    calls = []
+
+    def recording(w, centers, points):
+        calls.append((len(centers), len(points)))
+        return gauge_matrix(w, centers, points)
+
+    def per_member(self, z):
+        raise AssertionError("a member met a ball one at a time")
+
+    monkeypatch.setattr(topology, "gauge_matrix", recording)
+    monkeypatch.setattr(topology.Ball, "contains", per_member)
+    monkeypatch.setattr(cli, "parse_qv", lambda text: qv)
+    code, out, _ = run(capsys, "--format", "json", "separate", "--qv", spec, x, y,
+                       "--samples", "40", "--seed", "5")
+    assert json.loads(out) == expected
+    assert code == (1 if expected["failures"] else 0)
+    assert calls == [(2, 80)]
 
 
 def test_lemma_command(capsys):
@@ -169,7 +232,7 @@ def test_counts_past_their_limits_exit_two(capsys, monkeypatch, command, flag):
     def unreachable(*args, **kwargs):
         raise AssertionError("an over-limit request must be refused before sampling")
 
-    for name in ("run_lemma", "separation_witness", "ball_members"):
+    for name in ("run_lemma", "separation_witness", "member_triples"):
         monkeypatch.setattr(cli, name, unreachable)
     limit = cli.COUNT_LIMITS[command, flag]
     head = ["lemma", "--id", "2.2"] if command == "lemma" else ["separate", "--qv", "vp:2", "0", "4"]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qval import cli, lemmas, topology
+from qval import batch, cli, lemmas, topology
 from qval.batch import gauge_matrix
 from qval.errors import DomainError, PropertyViolation
 from qval.lemmas import (LEMMA_IDS, _one_element, _pick, _random_bound, constructor_pool,
@@ -16,7 +16,7 @@ from qval.report import PropertyReport
 from qval.sampling import ball_members, deck_triples, elements_for, shift_above, shift_below
 from qval.topology import (Ball, Side, dichotomy, integer_refinement, recenter,
                            separation_witness)
-from qval.triples import QuasiValuation
+from qval.triples import QuasiValuation, field_element
 from qval.valuations import ExtendedValuation, PAdicValuation, v_p
 
 
@@ -404,6 +404,31 @@ def test_ball_checks_make_one_gauge_matrix_per_instance(monkeypatch, lemma_id):
         calls.clear()
         report = run_lemma(lemma_id, seed, instances=5, samples=30)
         assert report.passed and len(calls) == 5, (seed, calls)
+
+
+def test_the_threshold_chain_makes_three_gauge_matrices_per_instance(monkeypatch):
+    # the v(a) row, one row of w over the x then the x·a⁻¹, and the ring's row
+    calls = []
+
+    def recording(w, centers, points):
+        calls.append(len(points))
+        return gauge_matrix(w, centers, points)
+
+    monkeypatch.setattr(topology, "gauge_matrix", recording)
+    monkeypatch.setattr(batch, "gauge_matrix", recording)
+    for seed in range(4):
+        calls.clear()
+        report = run_lemma("2.17", seed, instances=5, samples=30)
+        assert report.passed and calls == [30, 60, 30] * 5, (seed, calls)
+
+
+def test_one_element_draws_the_last_entry_of_a_deck():
+    for w in constructor_pool():
+        for seed in range(20):
+            rng, deck_rng = random.Random(seed), random.Random(seed)
+            deck = deck_triples(w.d, deck_rng, 8, include_zero=False)
+            assert _one_element(w, rng) == field_element(deck[-1], w.d), (w, seed)
+            assert rng.getstate() == deck_rng.getstate()
 
 
 MEMBER_INPUTS = frozenset("mwxyz")  # a sampled member z broke the claim

@@ -121,6 +121,28 @@ def test_int64_kernel_at_the_edges():
         assert np.array_equal(multiplicity(strided, p), _dividing_multiplicity(strided, p))
 
 
+def _check_joint_sweep(p, x, y):
+    """least_multiplicity(x, y, p) against two per-array multiplicity counts: m is their
+    min, INF where both are 0, and each flag says that coordinate's count passes m;
+    x and y are not written to."""
+    vx, vy = ([int_valuation(p, e) if e else INF for e in c.ravel().tolist()] for c in (x, y))
+    before = x.copy(), y.copy()
+    m, x_past, y_past = least_multiplicity(x, y, p)
+    assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
+    assert m.shape == x_past.shape == y_past.shape == x.shape and m.dtype == x.dtype
+    assert m.ravel().tolist() == list(map(min, vx, vy))
+    for e, f, past_e, past_f, least in zip(vx, vy, x_past.ravel().tolist(),
+                                           y_past.ravel().tolist(), m.ravel().tolist()):
+        if least != INF:  # both 0: the flags are not read
+            assert (past_e, past_f) == (e > least, f > least)
+    for e, f, least, past_e, past_f in zip(x.ravel().tolist(), y.ravel().tolist(),
+                                           m.ravel().tolist(), vx, vy):
+        scalar = least_multiplicity(e, f, p)
+        assert scalar[0] == least
+        if least != INF:
+            assert scalar[1:] == (past_e > least, past_f > least)
+
+
 @settings(max_examples=200, deadline=None)
 @given(int64_arrays(), st.data())
 def test_least_multiplicity_is_the_lesser_of_the_two(case, data):
@@ -130,11 +152,31 @@ def test_least_multiplicity_is_the_lesser_of_the_two(case, data):
     other = st.integers(-INT64_LIMIT + 1, INT64_LIMIT - 1)
     y = np.array([data.draw(st.one_of(st.just(e), st.just(0), other)) for e in x.ravel().tolist()],
                  dtype=np.int64).reshape(x.shape)
-    expected = [min(int_valuation(p, e) if e else INF, int_valuation(p, f) if f else INF)
-                for e, f in zip(x.ravel().tolist(), y.ravel().tolist())]
     for dtype in (np.int64, object):
-        v = least_multiplicity(x.astype(dtype), y.astype(dtype), p)
-        assert v.shape == x.shape and v.dtype == dtype
-        assert v.ravel().tolist() == expected
-    assert [least_multiplicity(e, f, p)
-            for e, f in zip(x.ravel().tolist(), y.ravel().tolist())] == expected
+        _check_joint_sweep(p, x.astype(dtype), y.astype(dtype))
+
+
+@st.composite
+def deep_pairs(draw):
+    """(p, x, y): same-shape int64 or dtype=object arrays whose entries are 0,
+    any integer, or ±u·p^k with k up to 60 (up to where u·p^k stays below
+    2^62 on int64), so the sweep runs deep and either coordinate may be 0."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 65537)))
+    dtype = draw(st.sampled_from((np.int64, object)))
+    top = 60 if dtype is object else next(k for k in range(61) if (2 * p + 3) * p ** (k + 1) >= INT64_LIMIT)
+    limit = INT64_LIMIT if dtype is np.int64 else 1 << 400
+    power = st.builds(lambda s, u, k: s * u * p**k, st.sampled_from((1, -1)),
+                      st.integers(1, 2 * p + 3), st.integers(0, top))
+    entry = st.one_of(st.just(0), power, st.integers(-limit + 1, limit - 1))
+    n = draw(st.integers(1, 12))
+    x, y = (draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(2))
+    shape = draw(st.sampled_from(((n,), (1, n))))
+    return p, *(np.array(c, dtype=dtype).reshape(shape) for c in (x, y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(deep_pairs())
+def test_the_joint_sweep_reports_which_coordinate_passes_the_least(case):
+    p, x, y = case
+    _check_joint_sweep(p, x, y)
+    _check_joint_sweep(p, y, x)

@@ -295,7 +295,7 @@ def test_ramified_values_are_half_integers():
 
 
 def test_hensel_caches_are_bounded():
-    caches = (valuations._split_seeds, valuations._hensel_sqrt_cached)
+    caches = (valuations._split_seeds,)
     bounds = [cache.cache_info().maxsize for cache in caches]
     assert None not in bounds
     fields = (d for d in range(2, 10**5) if is_squarefree(d))
@@ -532,3 +532,83 @@ def test_int_valuation_matches_unit_steps(p, v, unit):
         m //= p
         expected += 1
     assert int_valuation(p, n) == expected
+
+
+# ---------------------------------------------------------------------------
+# At a ramified p the one extension is v_p(A² − d·B²)/2 − v_p(Q), which the
+# constructor reads from v_p(A) and v_p(B) without forming the norm.  The
+# reference below forms the norm and counts its factors of p one at a time.
+
+RAMIFIED_FIELDS = [(2, -1), (2, 2), (2, -2), (2, 3), (3, -3), (3, 6), (5, 5), (7, -7)]
+assert {d % 4 for p, d in RAMIFIED_FIELDS if p == 2} == {2, 3}  # both ramified classes at 2
+
+
+def _ramified_by_norm(p, d, a, b, q):
+    return INF if a == b == 0 else _count_p(p, a * a - d * b * b) - 2 * _count_p(p, q)
+
+
+def _count_p_entries(p, n):
+    """_count_p of every nonzero entry of an int64 array, one division round at a time."""
+    count, at = np.zeros(n.shape, np.int64), np.flatnonzero(n)
+    cur = n[at]
+    while at.size:
+        still = cur % p == 0
+        at, cur = at[still], cur[still] // p
+        count[at] += 1
+    return count
+
+
+@pytest.mark.parametrize("p, d", RAMIFIED_FIELDS)
+def test_ramified_closed_form_equals_the_norm_on_the_box(p, d):
+    # every (A, B) with |A|, |B| ≤ 200 over Q ∈ {1, 2, 4, 9, 25, 49}: as int64
+    # arrays, as one object array, and on Python ints where |A|, |B| ≤ 8
+    w = extensions_of(p, d)[0]
+    assert w.kind is SplitKind.RAMIFIED
+    a, b = (c.ravel() for c in np.meshgrid(np.arange(-200, 201), np.arange(-200, 201)))
+    zero, small = (a == 0) & (b == 0), np.flatnonzero((abs(a) <= 8) & (abs(b) <= 8))
+    v_norm = _count_p_entries(p, a * a - d * b * b)
+    for q in (1, 2, 4, 9, 25, 49):
+        expected = np.where(zero, INF, v_norm - 2 * _count_p(p, q))
+        got = w.triple_value(a, b, np.full(a.shape, q))
+        assert got.dtype == np.int64 and np.array_equal(got, expected), q
+        for e, f, want in zip(a[small].tolist(), b[small].tolist(), expected[small].tolist()):
+            if e or f:
+                assert w.triple_value(e, f, q) == want == _ramified_by_norm(p, d, e, f, q)
+    objects = w.triple_value(*(c.astype(object) for c in (a, b, np.full(a.shape, 9))))
+    assert objects.dtype == object
+    assert objects.tolist() == np.where(zero, INF, v_norm - 2 * _count_p(p, 9)).tolist()
+
+
+@st.composite
+def ramified_wide_cases(draw):
+    """(p, d, triples, top): coordinates 0, any integer or ±u·p^k up to top (2^200, or
+    just below 2^62 for an int64 array whose norms pass 2^62), A and B often sharing k."""
+    p, d = draw(st.sampled_from(RAMIFIED_FIELDS))
+    top = draw(st.sampled_from((INT64_LIMIT - 1, 1 << 200)))
+    deepest = next(k for k in range(201) if (2 * p + 3) * p ** (k + 1) > top)
+
+    def at_depth(k):
+        return st.builds(lambda s, u: s * u * p**k, st.sampled_from((1, -1)), st.integers(1, 2 * p + 3))
+
+    coordinate = st.one_of(st.just(0), st.integers(-top, top),
+                           st.integers(0, deepest).flatmap(at_depth))
+    tied = st.integers(0, deepest).flatmap(lambda k: st.tuples(at_depth(k), at_depth(k)))
+    pairs = st.lists(st.one_of(st.tuples(coordinate, coordinate), tied), min_size=1, max_size=10)
+    q = st.builds(lambda r, j: r * p**j, st.integers(1, 60), st.integers(0, 8))
+    return p, d, [(a, b, draw(q)) for a, b in draw(pairs)], top
+
+
+@settings(max_examples=60, deadline=None)
+@given(ramified_wide_cases())
+@example((2, 3, [(3 * 2**60, 2**60, 1), (2**61, 3 * 2**60, 1), (INT64_LIMIT - 1, 1, 3)],
+          INT64_LIMIT - 1))
+@example((7, -7, [(7**70, 7**69, 49), (0, 3 * 7**100, 1), (5 * 7**80, 0, 7)], 1 << 200))
+def test_ramified_closed_form_equals_the_norm_past_int64(case):
+    p, d, triples, top = case
+    w = extensions_of(p, d)[0]
+    expected = [_ramified_by_norm(p, d, *t) for t in triples]
+    assert [w.triple_value(*t) for t in triples if t[0] or t[1]] == [
+        want for t, want in zip(triples, expected) if t[0] or t[1]]
+    for dtype in (np.int64, object) if top < INT64_LIMIT else (object,):
+        got = w.triple_value(*(np.array(c, dtype=dtype) for c in zip(*triples)))
+        assert got.dtype == dtype and got.tolist() == expected
