@@ -16,7 +16,7 @@ from .errors import (
     QvalError,
 )
 from .exprparse import format_element, parse_element
-from .quadratic import QuadElem, Rational, as_quad, is_squarefree
+from .quadratic import QuadElem, Rational, is_squarefree
 from .quasi import (
     MinOf,
     NAdic,
@@ -27,7 +27,6 @@ from .quasi import (
     min_extension,
     n_adic,
     n_adic_decomposition,
-    ring_member,
     value_bound,
     value_witness,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "Side",
     "SplitKind",
     "Value",
-    "as_quad",
     "check_axioms",
     "classify",
     "dichotomy",
@@ -101,7 +99,6 @@ __all__ = [
     "parse_qv",
     "rational_approx",
     "recenter",
-    "ring_member",
     "ring_value_equivalence",
     "separation_witness",
     "v_p",

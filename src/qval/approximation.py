@@ -31,8 +31,9 @@ from pathlib import Path
 from .errors import DomainError, ParseError, PropertyViolation
 from .exprparse import MAX_DIGITS, parse_rational
 from .primes import int_valuation
-from .quadratic import QuadElem, as_quad
+from .quadratic import QuadElem
 from .quasi import min_extension
+from .triples import field_element, field_triple
 from .valuations import require_prime
 from .values import Value
 
@@ -187,7 +188,7 @@ def weak_approx(d: int, targets, qvs=None) -> ApproxSolution:
     alphas = [math.floor(t.m) + 1 for t in targets]
     one, r = intersection_basis(d, qvs)
     scale = r.b  # r = scale·√d with scale a positive rational
-    expanded = [as_quad(t.x, d) for t in targets]
+    expanded = [field_element(field_triple(t.x, d), d) for t in targets]
 
     # each coordinate over {1, r} on its own; one target comes back as
     # itself, which achieves value ∞
@@ -198,8 +199,8 @@ def weak_approx(d: int, targets, qvs=None) -> ApproxSolution:
     x = d1 * one + d2 * r
 
     certificates = []
-    for t, qv in zip(targets, qvs):
-        achieved = qv.value(x - as_quad(t.x, d))
+    for t, qv, target in zip(targets, qvs, expanded):
+        achieved = qv.value(x - target)
         certificates.append(Certificate(t.p, achieved, t.m))
     for cert in certificates:
         if not cert.satisfied:
@@ -249,15 +250,12 @@ def load_problem(source) -> tuple[int, list[ApproxTarget]]:
 
 
 def dump_problem(d: int, targets) -> dict:
+    xs = [field_element(field_triple(t.x, d), d) for t in targets]
     return {
         "d": d,
         "targets": [
-            {
-                "p": t.p,
-                "x": {"a": str(as_quad(t.x, d).a), "b": str(as_quad(t.x, d).b)},
-                "m": str(Fraction(t.m)),
-            }
-            for t in targets
+            {"p": t.p, "x": {"a": str(x.a), "b": str(x.b)}, "m": str(Fraction(t.m))}
+            for t, x in zip(targets, xs)
         ],
     }
 

@@ -12,7 +12,8 @@ canonical, so equality compares integers, and field arithmetic runs on
 Python ints: each result is reduced by one gcd and built without Fractions
 and without re-checking d, which its operands already carry validated.
 Only the public constructor ``QuadElem(a, b, d)`` takes outside input; it
-accepts anything ``Fraction()`` does and validates d.
+accepts anything ``Fraction()`` does and validates d.  An element enters a
+field's evaluation through ``triples.field_triple``.
 
 All operations are exact; nothing in this module rounds.
 """
@@ -238,29 +239,3 @@ def _elem(a: int, b: int, q: int, d: int) -> QuadElem:
     _set_q(x, q)
     _set_d(x, d)
     return x
-
-
-def as_quad(x, d: int) -> QuadElem:
-    """Coerce a rational or a matching QuadElem into Q(√d).
-
-    A rational becomes its triple directly, with d validated as the public
-    constructor validates it."""
-    if isinstance(x, QuadElem):
-        if x.d == d:
-            return x
-        if not x.is_rational:
-            raise DomainError(f"element of Q(sqrt({x.d})) is not in Q(sqrt({d}))")
-        return _elem(x.A, 0, x.Q, validate_discriminant(d))
-    r = as_rational(x)
-    return _elem(r.numerator, 0, r.denominator, validate_discriminant(d))
-
-
-def as_rational(x) -> Fraction:
-    """Coerce a rational or a rational QuadElem into Q; a Fraction is returned as it is."""
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, QuadElem):
-        if not x.is_rational:
-            raise DomainError(f"{x} is not rational")
-        return x.a
-    return Fraction(x)

@@ -25,10 +25,9 @@ from functools import reduce
 from . import batch
 from .errors import DomainError, PropertyViolation
 from .primes import factorize, is_prime
-from .quadratic import as_quad, as_rational
 from .report import PropertyReport
-from .triples import (QuasiValuation, clamp_inf, field_triple, minimum, multiplicity,
-                      require_quasi_valuation, times)
+from .triples import (QuasiValuation, clamp_inf, field_element, field_triple, minimum,
+                      multiplicity, require_quasi_valuation, times)
 from .valuations import (ExtendedValuation, PAdicValuation, SplitKind, content_value,
                          extensions_of)
 from .values import Value
@@ -193,10 +192,9 @@ def n_adic_decomposition(n: int, x) -> int:
     every possible exponent and check the decomposition conditions directly."""
     if not isinstance(n, int) or n < 2:
         raise DomainError(f"n-adic base must be an integer >= 2, got {n!r}")
-    x = as_rational(x)
-    if x == 0:
+    c, _, den = field_triple(x, None)
+    if c == 0:
         raise DomainError("decomposition is defined for nonzero x")
-    c, den = x.numerator, x.denominator
     top = max(abs(c), den)
     # any candidate exponent is bounded by a 2-adic digit count: each step of
     # e moves at least one factor of 2 (the least possible prime) in or out
@@ -213,18 +211,10 @@ def n_adic_decomposition(n: int, x) -> int:
             matches.append(e)
     if len(matches) != 1:
         raise PropertyViolation(
-            f"decomposition of {x} base {n} matched exponents {matches}; expected exactly one"
+            f"decomposition of {Fraction(c, den)} base {n} matched exponents {matches}; "
+            "expected exactly one"
         )
     return matches[0]
-
-
-# ---------------------------------------------------------------------------
-# field plumbing shared by the harness operations
-
-
-def coerce_to_field(w, x):
-    """Bring x into w's field, accepting rationals everywhere."""
-    return as_rational(x) if w.d is None else as_quad(x, w.d)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +250,11 @@ def check_axioms(w, samples, seed: int | None = None) -> PropertyReport:
 
 def _record_pair_failure(report: PropertyReport, w, samples, kind: str, i: int, j: int):
     """Report a violation found on the arrays, with its values re-evaluated."""
-    x = coerce_to_field(w, samples[i])
+    x = field_element(field_triple(samples[i], w.d), w.d)
     if kind == "negation":
         report.fail({"x": x}, f"w(-x) = w(x) = {w.value(x)}", str(w.value(-x)))
         return
-    y = coerce_to_field(w, samples[j])
+    y = field_element(field_triple(samples[j], w.d), w.d)
     vx, vy = w.value(x), w.value(y)
     if kind == "superadditive":
         report.fail({"x": x, "y": y}, f"w(xy) >= {vx + vy}", str(w.value(x * y)))
@@ -280,10 +270,10 @@ def _record_pair_failure(report: PropertyReport, w, samples, kind: str, i: int, 
 
 def instability_witness(w, c, samples):
     """The first sample x with w(c·x) ≠ w(c) + w(x), or None."""
-    c = coerce_to_field(w, c)
+    c = field_element(field_triple(c, w.d), w.d)
     wc = w.value(c)
     for x in samples:
-        x = coerce_to_field(w, x)
+        x = field_element(field_triple(x, w.d), w.d)
         if w.value(c * x) != wc + w.value(x):
             return x
     return None
@@ -312,15 +302,9 @@ class QVRing:
         return f"ring[{self.qv}]"
 
 
-def ring_member(ring, x) -> bool:
-    if isinstance(ring, QVRing):
-        return ring.contains(x)
-    return QVRing(ring).contains(x)
-
-
 def value_bound(w, x) -> int:
     """An integer strictly above w(x); only nonzero x is bounded."""
-    val = w.value(coerce_to_field(w, x))
+    val = w.value(x)
     if val.is_infinite:
         raise DomainError("w(0) = inf admits no finite bound; x must be nonzero")
     return val.floor() + 1

@@ -26,10 +26,12 @@ import random
 from fractions import Fraction
 
 from .quadratic import QuadElem, validate_discriminant
-from .quasi import coerce_to_field, graded_element, value_witness
+from .quasi import graded_element, value_witness
 from .triples import field_element, field_triple, reduced
 
 Triple = tuple[int, int, int]
+# each drawn coordinate is a/b with |a| ≤ NUM_BOUND and 1 ≤ b ≤ DEN_BOUND
+NUM_BOUND, DEN_BOUND = 30, 12
 _RANDBELOW = random.Random._randbelow_with_getrandbits
 
 
@@ -45,18 +47,17 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
     return lo + r
 
 
-def _drawn_triple(d: int | None, rng: random.Random, num_bound: int = 30,
-                  den_bound: int = 12) -> Triple:
+def _drawn_triple(d: int | None, rng: random.Random) -> Triple:
     """One drawn deck entry, unreduced: a/a_den, plus (b/b_den)·√d over Q(√d)."""
-    a, a_den = _randint(rng, -num_bound, num_bound), _randint(rng, 1, den_bound)
+    a, a_den = _randint(rng, -NUM_BOUND, NUM_BOUND), _randint(rng, 1, DEN_BOUND)
     if d is None:
         return a, 0, a_den
-    b, b_den = _randint(rng, -num_bound, num_bound), _randint(rng, 1, den_bound)
+    b, b_den = _randint(rng, -NUM_BOUND, NUM_BOUND), _randint(rng, 1, DEN_BOUND)
     return a * b_den, b * a_den, a_den * b_den
 
 
-def deck_triples(d: int | None, rng: random.Random, count: int, num_bound: int = 30,
-                 den_bound: int = 12, include_zero: bool = True) -> list[Triple]:
+def deck_triples(d: int | None, rng: random.Random, count: int,
+                 include_zero: bool = True) -> list[Triple]:
     """Random elements of Q (d is None) or Q(√d) as reduced triples: 0, ±1 and, over
     Q(√d), √d, then reduced fractions with bounded numerator and denominator in each
     coordinate."""
@@ -65,28 +66,26 @@ def deck_triples(d: int | None, rng: random.Random, count: int, num_bound: int =
     if d is not None:
         validate_discriminant(d)
     while len(deck) < count:
-        deck.append(reduced(*_drawn_triple(d, rng, num_bound, den_bound)))
+        deck.append(reduced(*_drawn_triple(d, rng)))
     return deck[:count]
 
 
-def rationals(rng: random.Random, count: int, num_bound: int = 30, den_bound: int = 12,
-              include_zero: bool = True) -> list[Fraction]:
+def rationals(rng: random.Random, count: int, include_zero: bool = True) -> list[Fraction]:
     """Random reduced fractions with bounded numerator and denominator."""
-    deck = deck_triples(None, rng, count, num_bound, den_bound, include_zero)
+    deck = deck_triples(None, rng, count, include_zero)
     return [field_element(t, None) for t in deck]
 
 
-def quad_elements(rng: random.Random, d: int, count: int, num_bound: int = 30,
-                  den_bound: int = 12, include_zero: bool = True) -> list[QuadElem]:
+def quad_elements(rng: random.Random, d: int, count: int,
+                  include_zero: bool = True) -> list[QuadElem]:
     """Random elements of Q(√d), seeded with 0, ±1 and √d."""
-    deck = deck_triples(d, rng, count, num_bound, den_bound, include_zero)
+    deck = deck_triples(d, rng, count, include_zero)
     return [field_element(t, d) for t in deck]
 
 
-def elements_for(w, rng: random.Random, count: int, num_bound: int = 30,
-                 den_bound: int = 12, include_zero: bool = True):
+def elements_for(w, rng: random.Random, count: int, include_zero: bool = True):
     """Sample from w's field: rationals on Q, quadratic elements on Q(√d)."""
-    deck = deck_triples(w.d, rng, count, num_bound, den_bound, include_zero)
+    deck = deck_triples(w.d, rng, count, include_zero)
     return [field_element(t, w.d) for t in deck]
 
 
@@ -124,7 +123,7 @@ def member_triples(ball, rng: random.Random, count: int) -> list[Triple]:
     """count generated members of the ball as triples: the center, then center + g·t
     for count − 1 draws of t, with one witness g per ball."""
     w = ball.qv
-    center = field_triple(ball.center, w.d)
+    center = ball._center_triple
     members = [center]
     if count > 1:
         g = _witness_above(w, ball.bound, ball.strict)
@@ -140,7 +139,7 @@ def ball_members(ball, rng: random.Random, count: int) -> list:
 def element_at_exact_value(w, e: int):
     """An element with w known to equal e exactly (a power of the base)."""
     g, val = graded_element(w, e)
-    return coerce_to_field(w, g), val
+    return field_element(field_triple(g, w.d), w.d), val
 
 
 def shift_below(w, bound: Fraction, strict_ball: bool):

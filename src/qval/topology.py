@@ -12,7 +12,8 @@ bounds, and compare two quasi-valuations that share a ring.
 Membership compares the gauge w(y − c), an integer scaled by the value
 denominator, against the bound as an integer (``batch.clears``).  Where
 many points meet one bound, the points come as the integer triples the
-samplers draw (``triples.field_triple`` converts an element), and each
+samplers draw (``triples.field_triple`` converts an element; a ball
+converts its center once, when it is made), and each
 gauge is evaluated once per (center, point), as an integer matrix
 (``batch.gauge_matrix``): ``balls_contain`` (``Ball.contains_all`` for one
 ball, ``shared_members`` for two separating balls) for a lemma instance's
@@ -25,18 +26,18 @@ on Python ints; ``Ball.gauge`` builds the ``Value`` for display.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .batch import clears, gauge_matrix, point_clears
+from .batch import clears, difference, gauge_matrix, point_clears
 from .errors import DomainError, PropertyViolation
-from .quasi import QVRing, coerce_to_field
+from .quasi import QVRing
 from .report import PropertyReport
-from .triples import field_triple, reduced
+from .triples import field_element, field_triple, reduced
 from .valuations import PAdicValuation
-from .values import Value
+from .values import INFINITY, Value
 
 
 @dataclass(frozen=True)
@@ -46,27 +47,35 @@ class Ball:
     ``strict`` selects membership w(y−center) > bound; otherwise ≥ bound.
     The center always belongs to its own ball, since w(0) = ∞ beats any
     bound; and the strict ball is contained in the closed ball of the
-    same center and bound.
+    same center and bound.  The center is converted into w's field once:
+    ``center`` is the element, and its triple is what membership reads.
     """
 
     qv: object
     center: object
     bound: Fraction
     strict: bool = True
+    _center_triple: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "center", coerce_to_field(self.qv, self.center))
+        d = self.qv.d
+        triple = field_triple(self.center, d)
+        object.__setattr__(self, "_center_triple", triple)
+        object.__setattr__(self, "center", field_element(triple, d))
         object.__setattr__(self, "bound", Fraction(self.bound))
 
     def gauge(self, y) -> Value:
-        """w(y − center), the quantity membership compares against."""
-        y = coerce_to_field(self.qv, y)
-        return self.qv.value(y - self.center)
+        """w(y − center), the quantity membership compares against, read as ``value``
+        reads it: ∞ at y = center, else on the reduced difference triple."""
+        w = self.qv
+        a, b, q = reduced(*difference(self._center_triple, field_triple(y, w.d)))
+        if a == 0 and b == 0:
+            return INFINITY
+        return Value(Fraction(w.triple_value(a, b, q), w.value_denominator))
 
     def contains(self, y) -> bool:
         """y lies in the ball: the one-point case of ``contains_all``, on Python ints."""
-        d = self.qv.d
-        return point_clears(self.qv, field_triple(self.center, d), field_triple(y, d),
+        return point_clears(self.qv, self._center_triple, field_triple(y, self.qv.d),
                             self.bound, self.strict)
 
     def contains_all(self, points):
@@ -89,7 +98,7 @@ def balls_contain(balls, points):
     w = balls[0].qv
     if any(ball.qv != w for ball in balls):
         raise DomainError("balls live under different quasi-valuations")
-    gauges, infinite = gauge_matrix(w, [field_triple(ball.center, w.d) for ball in balls], points)
+    gauges, infinite = gauge_matrix(w, [ball._center_triple for ball in balls], points)
     return np.stack([clears(w, row, at_center, ball.bound, ball.strict)
                      for ball, row, at_center in zip(balls, gauges, infinite)])
 
@@ -124,13 +133,9 @@ def separation_witness(w, x, y) -> tuple[Fraction, Ball, Ball]:
     Any point of both balls would force w(y−x) > m = w(y−x); so the balls
     witness that two distinct points have disjoint neighborhoods.
     """
-    x = coerce_to_field(w, x)
-    y = coerce_to_field(w, y)
-    if x == y:
-        raise DomainError("separation needs two distinct points")
-    m = w.value(y - x)
+    m = Ball(w, x, 0).gauge(y)
     if m.is_infinite:
-        raise PropertyViolation(f"w({y} - {x}) = inf for distinct points under {w}")
+        raise DomainError("separation needs two distinct points")
     m = m.finite_part
     return m, Ball(w, x, m, strict=True), Ball(w, y, m, strict=True)
 
@@ -244,8 +249,8 @@ def membership_scaling_chain(w, x, a) -> bool:
 
 def threshold_disagreement(w, x, a, conditions) -> str:
     """The message of a chain whose four readings disagree."""
-    return (f"threshold conditions disagree for w={w}, x={coerce_to_field(w, x)}, "
-            f"a={Fraction(a)}: {conditions}")
+    x = field_element(field_triple(x, w.d), w.d)
+    return f"threshold conditions disagree for w={w}, x={x}, a={Fraction(a)}: {conditions}"
 
 
 def ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6),
@@ -270,8 +275,9 @@ def ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6),
         )
         return report
 
-    samples = [coerce_to_field(w1, x) for x in samples]
-    t1, t2 = ([field_triple(x, w.d) for x in samples] for w in (w1, w2))
+    samples = list(samples)
+    t1 = [field_triple(x, w1.d) for x in samples]
+    t2 = t1 if w2.d == w1.d else [field_triple(x, w2.d) for x in samples]
     # w(x) is the gauge of x around the center 0, one row per constructor
     row1 = [m[0] for m in gauge_matrix(w1, [(0, 0, 1)], t1)]
     row2 = [m[0] for m in gauge_matrix(w2, [(0, 0, 1)], t2)]
@@ -280,7 +286,7 @@ def ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6),
     disagree = np.flatnonzero(ring1 != ring2)
     for i in disagree:
         report.fail(
-            {"x": samples[i]},
+            {"x": field_element(t1[i], w1.d)},
             "ring membership must agree for the pair to share a ring",
             f"w1-ring: {ring1[i]}, w2-ring: {ring2[i]}",
         )
@@ -295,21 +301,22 @@ def ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6),
     at1, at2 = over_grid(w1, *row1), over_grid(w2, *row2)
     report.record(at1.size)
     for i, k in np.argwhere(at1 != at2):
+        x = field_element(t1[i], w1.d)
         report.fail(
-            {"x": samples[i], "alpha": alphas[k]},
+            {"x": x, "alpha": alphas[k]},
             f"w1(x) >= {alphas[k]} iff w2(x) >= {alphas[k]}",
-            f"w1(x) = {w1.value(samples[i])}, w2(x) = {w2.value(samples[i])}",
+            f"w1(x) = {w1.value(x)}, w2(x) = {w2.value(x)}",
         )
 
     # closed balls with integer bounds around sampled centers agree pointwise
     step = max(1, len(samples) // 8)
-    centers = samples[::step]
     in1 = over_grid(w1, *gauge_matrix(w1, t1[::step], t1))
     in2 = over_grid(w2, *gauge_matrix(w2, t2[::step], t2))
     report.record(in1.size)
     for c, k, j in np.argwhere(in1 != in2):
         report.fail(
-            {"center": centers[c], "alpha": alphas[k], "y": samples[j]},
+            {"center": field_element(t1[c * step], w1.d), "alpha": alphas[k],
+             "y": field_element(t1[j], w1.d)},
             "closed balls under w1 and w2 contain the same points",
             f"w1-ball: {in1[c, k, j]}, w2-ball: {in2[c, k, j]}",
         )

@@ -3,8 +3,10 @@
 An element of Q or Q(√d) is carried as integers x = (A + B·√d)/Q with
 Q ≥ 1, not necessarily reduced: a ``QuadElem`` stores its reduced triple,
 but the sums and products the batch engine forms stay unreduced
-(``reduced`` divides a triple down to its element's one triple, and
-``field_element`` builds the element back).  Every
+(``reduced`` divides a triple down to its element's one triple).  Every
+element enters a field through ``field_triple``, which holds the one rule
+(a rational, or an element of that field; nothing else), and
+``field_element`` builds the element back from a triple.  Every
 constructor subclasses ``QuasiValuation`` and evaluates triples in one
 method, ``triple_value(a, b, q)``, which returns w(x)·value_denominator as
 an integer, with the sentinel ``INF`` where w(x) = ∞.  The same code runs
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError
 from .primes import int_valuation
-from .quadratic import _elem, as_quad, as_rational
+from .quadratic import QuadElem, _elem, validate_discriminant
 from .values import INFINITY, Value
 
 INF = 1 << 40
@@ -45,17 +47,33 @@ INT64_LIMIT = 1 << 62
 
 
 def field_triple(x, d: int | None) -> tuple[int, int, int]:
-    """x as an integer triple over Q (d is None) or over Q(√d)."""
-    if d is None:
-        x = as_rational(x)
-        return x.numerator, 0, x.denominator
-    x = as_quad(x, d)
-    return x.A, x.B, x.Q
+    """x as an integer triple over Q (d is None) or over Q(√d): the one way into a field.
+
+    A rational enters either field (a Fraction read as it is, anything else
+    through ``Fraction()``), and so does a rational QuadElem of any field; a
+    QuadElem of Q(√d) enters Q(√d) as its own triple.  Anything else is refused,
+    and a rational entering Q(√d) validates d as the public constructor does."""
+    if type(x) is Fraction:
+        t = x.numerator, 0, x.denominator
+    elif isinstance(x, QuadElem):
+        if x.d == d:
+            return x.A, x.B, x.Q
+        if x.B:
+            raise DomainError(f"{x} is not rational" if d is None
+                              else f"element of Q(sqrt({x.d})) is not in Q(sqrt({d}))")
+        t = x.A, 0, x.Q
+    else:
+        x = Fraction(x)
+        t = x.numerator, 0, x.denominator
+    if d is not None:
+        validate_discriminant(d)
+    return t
 
 
 def field_element(t: tuple[int, int, int], d: int | None):
     """The element with integer triple t (Q ≥ 1) over Q (d is None, B = 0) or over Q(√d),
-    where d is already validated: the inverse of ``field_triple``."""
+    where d is already validated: the inverse of ``field_triple``, and the one way
+    back from a triple to an element."""
     a, b, q = t
     return Fraction(a, q) if d is None else _elem(a, b, q, d)
 
@@ -150,12 +168,18 @@ def least_multiplicity(x, y, p: int):
     multiplicity(y, p)), INF where both are 0, and x_past (y_past) whether
     multiplicity(x, p) > m, that is, whether x is still divisible at m (0 always is).
 
-    On int64 arrays at p = 2, m is the lowest set bit lb of x | y, and
-    x & lb is 0 just where x is still divisible.  At odd p one sweep runs
-    ``multiplicity``'s test on both, an entry leaves it as soon as either is
-    no longer divisible, and the test at its exit gives the two flags.  On
-    Python ints and dtype=object arrays the flags compare two multiplicities.
+    At p = 2, on int64 arrays and Python ints, m is the exponent of the lowest
+    set bit lb of x | y, and x & lb is 0 just where x is still divisible.  At
+    odd p on int64 one sweep runs ``multiplicity``'s test on both, an entry
+    leaves it as soon as either is no longer divisible, and the test at its
+    exit gives the two flags.  Otherwise the flags compare two multiplicities.
     """
+    if not isinstance(x, np.ndarray) and p == 2:
+        either = x | y
+        lb = either & -either
+        if not lb:
+            return INF, False, False
+        return int(lb).bit_length() - 1, not x & lb, not y & lb
     if not isinstance(x, np.ndarray) or x.dtype == object:
         vx, vy = multiplicity(x, p), multiplicity(y, p)
         m = minimum(vx, vy)

@@ -95,15 +95,14 @@ def hensel_sqrt(p: int, d: int, k: int, branch: int = 1) -> int:
             t = (t * (3 - d * t * t) >> 1) % 2**prec
         s = d * t
         return (s if (s - seed) % 4 == 0 else -s) % 2 ** (k - 1)
-    # Newton iteration s ← (s + d/s)/2 doubles the precision each step
-    s = seed
-    prec = 1
+    # the same step at odd p takes d·t² ≡ 1 from mod p^prec to mod p^(2·prec), from
+    # t = seed⁻¹ at prec = 1; s = d·t ≡ seed (mod p) is the branch's root mod p^k
+    t, prec = pow(seed, -1, p), 1
     inv2 = pow(2, -1, p**k)
     while prec < k:
         prec = min(2 * prec, k)
-        mod = p**prec
-        s = (s + d * pow(s, -1, mod)) * inv2 % mod
-    return s % p**k
+        t = t * (3 - d * t * t) * inv2 % p**prec
+    return d * t % p**k
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qval.errors import DomainError
-from qval.quadratic import QuadElem, as_quad, as_rational, is_squarefree, validate_discriminant
+from qval.quadratic import QuadElem, is_squarefree, validate_discriminant
+from qval.triples import field_element, field_triple
 
 DS = (-1, 2, 5, -7)
 
@@ -79,7 +80,7 @@ def test_multiplication_examples():
 
 
 def test_inverse_examples():
-    assert as_quad(2, 2).inverse() == Fraction(1, 2)
+    assert QuadElem.from_rational(2, 2).inverse() == Fraction(1, 2)
     assert q(1, 1, 2).inverse() == q(-1, 1, 2)
     with pytest.raises(ZeroDivisionError):
         q(0, 0, 2).inverse()
@@ -150,37 +151,39 @@ class _Half(Fraction):
     pass
 
 
-def test_as_rational_returns_a_fraction_as_it_is():
-    x = Fraction(3, 6)
-    assert as_rational(x) is x
+def test_field_triple_reads_a_fraction_as_it_is():
+    x = Fraction(3 * 10**30, 6 * 10**30 + 3)
+    t = field_triple(x, None)
+    assert t == (x.numerator, 0, x.denominator) and t[0] is x.numerator and t[2] is x.denominator
     for y in (_Half(1, 2), 1, "1/2", q("1/2", 0, 5)):
-        assert type(as_rational(y)) is Fraction
-    assert as_rational(_Half(1, 2)) == Fraction(1, 2) and as_rational(7) == 7
+        assert all(type(c) is int for c in field_triple(y, None))
+    assert field_triple(_Half(1, 2), None) == (1, 0, 2) and field_triple(7, None) == (7, 0, 1)
     with pytest.raises(DomainError, match="is not rational"):
-        as_rational(q(1, 1, 5))
+        field_triple(q(1, 1, 5), None)
 
 
 @settings(max_examples=100, deadline=None)
 @given(coeffs, st.sampled_from(DS))
-def test_as_quad_matches_the_public_constructor(r, d):
+def test_field_triple_matches_the_public_constructor(r, d):
     for x in (r, _Half(r), r.numerator if r.denominator == 1 else r,
               QuadElem(r, 0, 3 if d == 2 else 2)):
-        y, z = as_quad(x, d), QuadElem.from_rational(Fraction(r), d)
+        y, z = field_element(field_triple(x, d), d), QuadElem.from_rational(Fraction(r), d)
+        assert field_triple(x, d) == (z.A, z.B, z.Q)
         assert type(y) is QuadElem and y == z and (y.A, y.B, y.Q, y.d) == (z.A, z.B, z.Q, z.d)
 
 
-def test_as_quad_refuses_what_the_public_constructor_refuses():
+def test_field_triple_refuses_what_the_public_constructor_refuses():
     for x in (Fraction(1, 2), 3, QuadElem(Fraction(1, 2), 0, 2)):
         for bad in (0, 1, 4, -12):
             with pytest.raises(DomainError) as expected:
-                QuadElem.from_rational(as_rational(x), bad)
+                QuadElem.from_rational(field_element(field_triple(x, None), None), bad)
             with pytest.raises(DomainError) as got:
-                as_quad(x, bad)
+                field_triple(x, bad)
             assert str(got.value) == str(expected.value)
     with pytest.raises(DomainError, match=r"not in Q\(sqrt\(5\)\)"):
-        as_quad(QuadElem(1, 1, 2), 5)
+        field_triple(QuadElem(1, 1, 2), 5)
     with pytest.raises(ValueError):
-        as_quad("one", 5)
+        field_triple("one", 5)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+import qval.batch
+import qval.sampling
+import qval.topology
+import qval.triples
 from qval.errors import DomainError, PropertyViolation
 from qval.lemmas import constructor_pool
 from qval.quadratic import QuadElem
-from qval.quasi import MinOf, NAdic, QVRing, Scaled, coerce_to_field, min_extension
+from qval.quasi import MinOf, NAdic, QVRing, Scaled, min_extension
 from qval.report import PropertyReport
-from qval.sampling import ball_members, elements_for, rationals, shift_above
+from qval.sampling import ball_members, elements_for, member_triples, rationals, shift_above
 from qval.topology import (
     Ball,
     Side,
@@ -21,7 +25,7 @@ from qval.topology import (
     ring_value_equivalence,
     separation_witness,
 )
-from qval.triples import field_triple
+from qval.triples import field_element, field_triple
 from qval.valuations import PAdicValuation, extensions_of, hensel_sqrt
 
 V2 = PAdicValuation(2)
@@ -38,6 +42,24 @@ def test_contains_examples():
     assert not Ball(V2, 0, 1, strict=True).contains(2)  # 1 is not > 1
     assert Ball(V2, 0, 1, strict=False).contains(2)  # 1 >= 1
     assert 2 in Ball(V2, 0, 0)
+
+
+def test_a_ball_converts_its_center_once(monkeypatch):
+    converted = []
+
+    def recording(x, d):
+        converted.append(x)
+        return field_triple(x, d)
+
+    for module in (qval.triples, qval.batch, qval.topology, qval.sampling):
+        monkeypatch.setattr(module, "field_triple", recording)
+    center = QuadElem(Fraction(1, 3), 2, 2)
+    ball = Ball(extensions_of(7, 2)[0], center, Fraction(1, 2), strict=False)
+    points = member_triples(ball, random.Random(0), 10)
+    assert ball.contains_all(points).all()
+    y = QuadElem(1, 1, 2)
+    assert ball.contains(y) == ball.contains_all([(1, 1, 1)])[0] == (ball.gauge(y) >= ball.bound)
+    assert [x for x in converted if x == center] == [center]
 
 
 def test_center_always_inside():
@@ -326,7 +348,7 @@ def _reference_ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6), 
             f"base primes {p1} and {p2}",
         )
         return report
-    samples = [coerce_to_field(w1, x) for x in samples]
+    samples = [field_element(field_triple(x, w1.d), w1.d) for x in samples]
     agreed = True
     for x in samples:
         report.record()

@@ -50,6 +50,14 @@ def test_multiplicity_at_the_int64_limit_and_beyond():
     big = np.array([2**64 * 3, -(11**40), 2**65 + 3], dtype=object)
     assert multiplicity(big, 2).tolist() == [64, 0, 0]
     assert multiplicity(big, 11).tolist() == [0, 40, 0]
+    # the joint sweep on Python ints at p = 2: zeros, negatives, and past 2^64
+    edges = (0, 1, -1, 2, -2, 12, -48, 2**63, -(2**64), 2**64 * 3, -(2**70) * 5, 2**65 + 3)
+    for e in edges:
+        for f in edges:
+            ve, vf = (int_valuation(2, c) if c else INF for c in (e, f))
+            m = min(ve, vf)
+            want = (INF, False, False) if m == INF else (m, ve > m, vf > m)
+            assert least_multiplicity(e, f, 2) == want, (e, f)
 
 
 def _dividing_multiplicity(x, p):

@@ -138,6 +138,29 @@ def test_hensel_sqrt_at_two_matches_the_bitwise_lift():
                 assert hensel_sqrt(2, d, k, branch) == _bitwise_hensel_sqrt_2(d, k, seed), (d, k)
 
 
+def _newton_hensel_sqrt_odd(p, d, k, seed):
+    """The Newton lift hensel_sqrt used at odd p before its inverse-square-root step:
+    s ← (s + d/s)/2 mod p^prec, one modular inverse per step."""
+    s, prec = seed, 1
+    inv2 = pow(2, -1, p**k)
+    while prec < k:
+        prec = min(2 * prec, k)
+        mod = p**prec
+        s = (s + d * pow(s, -1, mod)) * inv2 % mod
+    return s % p**k
+
+
+def test_hensel_sqrt_at_odd_p_matches_the_newton_lift():
+    pairs = [(p, d) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for d in (-1, 2, -2, 3, 5, -7)
+             if d % p and classify(p, d) is SplitKind.SPLIT]
+    for p, d in pairs:
+        for branch in (1, 2):
+            seed = valuations._split_seeds(p, d)[branch - 1]
+            for k in [*range(1, 60), 500, 3000]:
+                assert hensel_sqrt(p, d, k, branch) == _newton_hensel_sqrt_odd(p, d, k, seed), \
+                    (p, d, k, branch)
+
+
 def test_hensel_rejects_non_split():
     with pytest.raises(DomainError):
         hensel_sqrt(5, 2, 3)
