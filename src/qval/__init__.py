@@ -20,7 +20,6 @@ from .quadratic import QuadElem, Rational, is_squarefree
 from .quasi import (
     MinOf,
     NAdic,
-    QVRing,
     Scaled,
     check_axioms,
     instability_witness,
@@ -35,6 +34,7 @@ from .report import PropertyReport
 from .topology import (
     Ball,
     BallRefinement,
+    QVRing,
     Side,
     dichotomy,
     integer_refinement,

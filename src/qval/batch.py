@@ -14,8 +14,9 @@ The ball gauges w(y − c) that the topology checks compare against bounds
 are formed the same way: one difference triple per (center, point), all
 of them evaluated once, as an integer matrix.  The gauges take the
 triples the samplers draw, and ``clears`` compares them against a bound,
-on arrays or, for one point, on Python ints.  Both take only subclasses
-of ``QuasiValuation`` and refuse anything else with ``DomainError``.
+on arrays or, for one point (``Ball.contains``), on Python ints.  Both
+take only subclasses of ``QuasiValuation`` and refuse anything else with
+``DomainError``.
 
 The arithmetic stays exact.  A worst-case magnitude check with unbounded
 Python ints, on the triples formed here, picks int64 arrays when none of
@@ -33,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .triples import INT64_LIMIT, field_triple, reduced, require_quasi_valuation
+from .triples import INT64_LIMIT, field_triple, require_quasi_valuation
 
 
 def _triples(w, elements) -> list[tuple[int, int, int]]:
@@ -81,14 +82,6 @@ def clears(w, gauges, infinite, bound, strict: bool = False):
     num, den = bound.numerator * w.value_denominator, bound.denominator  # an int or a Fraction
     least = num // den + 1 if strict else -(-num // den)
     return infinite | (gauges >= least)
-
-
-def point_clears(w, c, y, bound, strict: bool = False) -> bool:
-    """``clears`` for the gauge of one point triple y around one center triple c,
-    on Python ints: w is evaluated, as ``value`` is, on the reduced triple of
-    y − c, and not at y = c, where ∞ passes."""
-    a, b, q = reduced(*difference(c, y))
-    return (a == 0 and b == 0) or bool(clears(w, w.triple_value(a, b, q), False, bound, strict))
 
 
 @lru_cache(maxsize=4)  # only for n ≤ CACHED_TRIANGLE_N

@@ -12,8 +12,9 @@ canonical, so equality compares integers, and field arithmetic runs on
 Python ints: each result is reduced by one gcd and built without Fractions
 and without re-checking d, which its operands already carry validated.
 Only the public constructor ``QuadElem(a, b, d)`` takes outside input; it
-accepts anything ``Fraction()`` does and validates d.  An element enters a
-field's evaluation through ``triples.field_triple``.
+accepts anything ``Fraction()`` does, an integer (a numpy one too) read as
+an int, and validates d.  An element enters a field's evaluation through
+``triples.field_triple``.
 
 All operations are exact; nothing in this module rounds.
 """
@@ -22,6 +23,7 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import index
 
 from .errors import DomainError
 from .primes import factorize
@@ -51,6 +53,11 @@ def validate_discriminant(d: int) -> int:
     return d
 
 
+def _fraction(x) -> Fraction:
+    """Fraction(x) on Python ints: an integer, which ``Fraction()`` would keep, enters as an int."""
+    return Fraction(index(x) if hasattr(x, "__index__") else x)
+
+
 class QuadElem:
     """An element a + b·√d of Q(√d), stored as its reduced integer triple.
 
@@ -63,7 +70,7 @@ class QuadElem:
     __slots__ = ("A", "B", "Q", "d")
 
     def __init__(self, a, b, d: int):
-        a, b = Fraction(a), Fraction(b)
+        a, b = _fraction(a), _fraction(b)
         validate_discriminant(d)
         # both fractions are reduced, so the triple over their lcm is too
         q = lcm(a.denominator, b.denominator)

@@ -1,4 +1,4 @@
-"""Quasi-valuation constructors, the axiom harness, and ring membership.
+"""Quasi-valuation constructors, the axiom harness, and value witnesses.
 
 A quasi-valuation w maps a field into Q ∪ {∞} with
 
@@ -15,6 +15,7 @@ so any of them can be used wherever a quasi-valuation is expected.  Each
 constructor evaluates integer triples in its ``triple_value``, sizing any
 integer it forms there (``triples.formed``), and inherits ``value``; the
 axiom harness runs it on arrays of every sample, sum and product (``batch``).
+The ring O_w = {x : w(x) ≥ 0} is the closed ball Ũ_0(0), ``topology.QVRing``.
 """
 
 import math
@@ -280,26 +281,7 @@ def instability_witness(w, c, samples):
 
 
 # ---------------------------------------------------------------------------
-# the quasi-valuation ring and value-monoid witnesses
-
-
-@dataclass(frozen=True)
-class QVRing:
-    """O_w = {x : w(x) ≥ 0}, a predicate object (the ring is infinite)."""
-
-    qv: object
-
-    def contains(self, x) -> bool:
-        """x ∈ O_w: the one-point case of ``contains_all``, on Python ints."""
-        return batch.point_clears(self.qv, (0, 0, 1), field_triple(x, self.qv.d), 0)
-
-    def contains_all(self, points):
-        """``contains`` for every point triple, as a bool array, from one integer row of values."""
-        values, infinite = batch.gauge_matrix(self.qv, [(0, 0, 1)], points)
-        return batch.clears(self.qv, values[0], infinite[0], 0)
-
-    def __str__(self) -> str:
-        return f"ring[{self.qv}]"
+# value-monoid witnesses
 
 
 def value_bound(w, x) -> int:
@@ -315,12 +297,15 @@ def graded_element(w, e: int):
 
     Built from the primes w is made of: p^e for a single base prime,
     (∏ p_i)^e for a minimum over several, n^e for the n-adic function.
+    A minimum with a member restricting to no single v_p is refused.
     """
     if isinstance(w, Scaled):
         g, val = graded_element(w.inner, e)
         return g, val * w.factor
     if isinstance(w, NAdic):
         return Fraction(w.n) ** e, Fraction(e)
+    if isinstance(w, MinOf) and any(m.extended_prime is None for m in w.members):
+        raise DomainError(f"{w} has a member that restricts to no single p-adic valuation")
     base = 1
     for p in sorted(w.base_primes):
         base *= p

@@ -7,20 +7,21 @@ two overlapping strict balls to one around a common point, produce the
 Hausdorff separation bound for two distinct points, classify a point
 against a closed ball (whose translate then lies entirely inside or
 entirely outside), refine a strict ball to closed balls with integer
-bounds, and compare two quasi-valuations that share a ring.
+bounds, and compare two quasi-valuations that share a ring, O_w =
+{x : w(x) ≥ 0}, itself the closed ball Ũ_0(0) (``QVRing``).
 
 Membership compares the gauge w(y − c), an integer scaled by the value
 denominator, against the bound as an integer (``batch.clears``).  Where
 many points meet one bound, the points come as the integer triples the
 samplers draw (``triples.field_triple`` converts an element; a ball
-converts its center once, when it is made), and each
-gauge is evaluated once per (center, point), as an integer matrix
-(``batch.gauge_matrix``): ``balls_contain`` (``Ball.contains_all`` for one
-ball, ``shared_members`` for two separating balls) for a lemma instance's
-members, ``membership_scaling_rows`` for the four readings of lemma 2.17's
+converts its center once, when it is made), and each gauge is evaluated
+once per (center, point), as an integer matrix (``batch.gauge_matrix``):
+``balls_contain`` (``Ball.contains_all`` for one ball, ``shared_members``
+for two separating balls) for a lemma instance's members,
+``membership_scaling_rows`` for the four readings of lemma 2.17's
 threshold chain (w(x) and w(x·a⁻¹) in one row), and
 ``ring_value_equivalence`` for every sample, threshold and sampled center
-at once.  ``Ball.contains`` and ``QVRing.contains`` are the one-point case,
+at once, per quasi-valuation.  ``Ball.contains`` is the one-point case,
 on Python ints; ``Ball.gauge`` builds the ``Value`` for display.
 """
 
@@ -31,9 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .batch import clears, difference, gauge_matrix, point_clears
+from .batch import clears, difference, gauge_matrix
 from .errors import DomainError, PropertyViolation
-from .quasi import QVRing
 from .report import PropertyReport
 from .triples import field_element, field_triple, reduced
 from .valuations import PAdicValuation
@@ -74,9 +74,11 @@ class Ball:
         return Value(Fraction(w.triple_value(a, b, q), w.value_denominator))
 
     def contains(self, y) -> bool:
-        """y lies in the ball: the one-point case of ``contains_all``, on Python ints."""
-        return point_clears(self.qv, self._center_triple, field_triple(y, self.qv.d),
-                            self.bound, self.strict)
+        """``contains_all`` for one point, on ints: w of the reduced y − c, as ``value`` reads it."""
+        w = self.qv
+        a, b, q = reduced(*difference(self._center_triple, field_triple(y, w.d)))
+        return (a == 0 and b == 0) or bool(clears(w, w.triple_value(a, b, q), False,
+                                                 self.bound, self.strict))
 
     def contains_all(self, points):
         """``contains`` for every point triple, as a bool array: one-ball ``balls_contain``."""
@@ -88,6 +90,16 @@ class Ball:
     def __str__(self) -> str:
         kind = "U" if self.strict else "closedU"
         return f"{kind}_{self.bound}({self.center}; {self.qv})"
+
+
+class QVRing(Ball):
+    """O_w = {x : w(x) ≥ 0}, the closed ball Ũ_0(0): a predicate, as the ring is infinite."""
+
+    def __init__(self, qv):
+        super().__init__(qv, 0, 0, strict=False)
+
+    def __str__(self) -> str:
+        return f"ring[{self.qv}]"
 
 
 def balls_contain(balls, points):
@@ -253,16 +265,20 @@ def threshold_disagreement(w, x, a, conditions) -> str:
     return f"threshold conditions disagree for w={w}, x={x}, a={Fraction(a)}: {conditions}"
 
 
-def ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6),
-                           seed: int | None = None) -> PropertyReport:
+_ALPHAS = range(-5, 6)
+
+
+def ring_value_equivalence(w1, w2, samples, seed: int | None = None) -> PropertyReport:
     """Two quasi-valuations with one ring clear the same integer thresholds.
 
     Preconditions (checked, and reported as failures when violated): both
     constructors restrict to the same v_p on Q, and their rings agree on
-    every sample.  Then for each sample x and integer alpha the report
-    asserts w1(x) ≥ alpha iff w2(x) ≥ alpha, and that closed balls of bound
-    alpha around sampled centers agree on sampled membership — which is why
-    the ring alone already fixes the topology.
+    every sample.  Then for each sample x and integer alpha of ``_ALPHAS``
+    (−5 to 5) the report asserts w1(x) ≥ alpha iff w2(x) ≥ alpha, and that
+    closed balls of bound alpha around sampled centers agree on sampled
+    membership — which is why the ring alone already fixes the topology.
+    Each w reads it all from one gauge matrix: w(x) around 0, then the
+    sampled centers' rows.
     """
     report = PropertyReport(lemma="ring-value-equivalence", seed=seed)
     p1, p2 = w1.extended_prime, w2.extended_prime
@@ -278,10 +294,16 @@ def ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6),
     samples = list(samples)
     t1 = [field_triple(x, w1.d) for x in samples]
     t2 = t1 if w2.d == w1.d else [field_triple(x, w2.d) for x in samples]
-    # w(x) is the gauge of x around the center 0, one row per constructor
-    row1 = [m[0] for m in gauge_matrix(w1, [(0, 0, 1)], t1)]
-    row2 = [m[0] for m in gauge_matrix(w2, [(0, 0, 1)], t2)]
-    ring1, ring2 = clears(w1, *row1, 0), clears(w2, *row2, 0)
+    step = max(1, len(samples) // 8)
+
+    def readings(w, t):
+        """The ring, and every gauge against every alpha on a new axis 1: the least passing
+        gauge is alpha·value_denominator, a Python int, so no denominator overflows int64."""
+        gauges, infinite = gauge_matrix(w, [(0, 0, 1)] + t[::step], t)
+        least = np.array([alpha * w.value_denominator for alpha in _ALPHAS])[:, None]
+        return infinite[0] | (gauges[0] >= 0), infinite[:, None] | (gauges[:, None] >= least)
+
+    (ring1, at1), (ring2, at2) = readings(w1, t1), readings(w2, t2)
     report.record(len(samples))
     disagree = np.flatnonzero(ring1 != ring2)
     for i in disagree:
@@ -290,32 +312,24 @@ def ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6),
             "ring membership must agree for the pair to share a ring",
             f"w1-ring: {ring1[i]}, w2-ring: {ring2[i]}",
         )
-    alphas = list(alpha_grid)
-    if disagree.size or not alphas:
+    if disagree.size:
         return report
 
-    def over_grid(w, gauges, infinite):
-        """w ≥ alpha for every alpha of the grid, the grid on a new axis 1."""
-        return np.stack([clears(w, gauges, infinite, alpha) for alpha in alphas], axis=1)
-
-    at1, at2 = over_grid(w1, *row1), over_grid(w2, *row2)
-    report.record(at1.size)
-    for i, k in np.argwhere(at1 != at2):
+    report.record(at1[0].size)
+    for i, k in np.argwhere(at1[0].T != at2[0].T):
         x = field_element(t1[i], w1.d)
         report.fail(
-            {"x": x, "alpha": alphas[k]},
-            f"w1(x) >= {alphas[k]} iff w2(x) >= {alphas[k]}",
+            {"x": x, "alpha": _ALPHAS[k]},
+            f"w1(x) >= {_ALPHAS[k]} iff w2(x) >= {_ALPHAS[k]}",
             f"w1(x) = {w1.value(x)}, w2(x) = {w2.value(x)}",
         )
 
     # closed balls with integer bounds around sampled centers agree pointwise
-    step = max(1, len(samples) // 8)
-    in1 = over_grid(w1, *gauge_matrix(w1, t1[::step], t1))
-    in2 = over_grid(w2, *gauge_matrix(w2, t2[::step], t2))
+    in1, in2 = at1[1:], at2[1:]
     report.record(in1.size)
     for c, k, j in np.argwhere(in1 != in2):
         report.fail(
-            {"center": field_element(t1[c * step], w1.d), "alpha": alphas[k],
+            {"center": field_element(t1[c * step], w1.d), "alpha": _ALPHAS[k],
              "y": field_element(t1[j], w1.d)},
             "closed balls under w1 and w2 contain the same points",
             f"w1-ball: {in1[c, k, j]}, w2-ball: {in2[c, k, j]}",

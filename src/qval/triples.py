@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError
 from .primes import int_valuation
-from .quadratic import QuadElem, _elem, validate_discriminant
+from .quadratic import QuadElem, _elem, _fraction, validate_discriminant
 from .values import INFINITY, Value
 
 INF = 1 << 40
@@ -50,7 +50,7 @@ def field_triple(x, d: int | None) -> tuple[int, int, int]:
     """x as an integer triple over Q (d is None) or over Q(√d): the one way into a field.
 
     A rational enters either field (a Fraction read as it is, anything else
-    through ``Fraction()``), and so does a rational QuadElem of any field; a
+    through ``_fraction``), and so does a rational QuadElem of any field; a
     QuadElem of Q(√d) enters Q(√d) as its own triple.  Anything else is refused,
     and a rational entering Q(√d) validates d as the public constructor does."""
     if type(x) is Fraction:
@@ -63,7 +63,7 @@ def field_triple(x, d: int | None) -> tuple[int, int, int]:
                               else f"element of Q(sqrt({x.d})) is not in Q(sqrt({d}))")
         t = x.A, 0, x.Q
     else:
-        x = Fraction(x)
+        x = _fraction(x)
         t = x.numerator, 0, x.denominator
     if d is not None:
         validate_discriminant(d)

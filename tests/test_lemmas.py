@@ -11,10 +11,10 @@ from qval.batch import gauge_matrix
 from qval.errors import DomainError, PropertyViolation
 from qval.lemmas import (LEMMA_IDS, _one_element, _pick, _random_bound, constructor_pool,
                          run_lemma)
-from qval.quasi import QVRing, Scaled
+from qval.quasi import Scaled
 from qval.report import PropertyReport
 from qval.sampling import ball_members, deck_triples, elements_for, shift_above, shift_below
-from qval.topology import (Ball, Side, dichotomy, integer_refinement, recenter,
+from qval.topology import (Ball, QVRing, Side, dichotomy, integer_refinement, recenter,
                            separation_witness)
 from qval.triples import QuasiValuation, field_element
 from qval.valuations import ExtendedValuation, PAdicValuation, v_p

@@ -4,13 +4,17 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qval.errors import DomainError
 from qval.quadratic import QuadElem, is_squarefree, validate_discriminant
+from qval.qvspec import parse_qv
 from qval.triples import field_element, field_triple
+from qval.valuations import PAdicValuation, hensel_sqrt
+from qval.values import Value
 
 DS = (-1, 2, 5, -7)
 
@@ -184,6 +188,18 @@ def test_field_triple_refuses_what_the_public_constructor_refuses():
         field_triple(QuadElem(1, 1, 2), 5)
     with pytest.raises(ValueError):
         field_triple("one", 5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_numpy_integers_enter_a_field_as_python_ints():
+    # Fraction(np.int64(a)) keeps the int64 as its numerator, whose arithmetic wraps
+    a = -hensel_sqrt(7, 2, 20, 1) % 7**20  # a + √2 lies 20 digits deep under split1
+    x = QuadElem(np.int64(a), np.int64(1), 2)
+    assert all(type(c) is int for c in (x.A, x.B, x.Q))
+    w = parse_qv("split1:7,d=2")
+    assert w.value(x) == w.value(QuadElem(a, 1, 2)) == Value(20)
+    assert all(type(c) is int for c in field_triple(np.int64(3), None))
+    assert PAdicValuation(2).value(np.int64(2**62)) == Value(62)
 
 
 # ---------------------------------------------------------------------------

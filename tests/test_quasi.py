@@ -10,7 +10,6 @@ from qval.quadratic import QuadElem
 from qval.quasi import (
     MinOf,
     NAdic,
-    QVRing,
     Scaled,
     check_axioms,
     instability_witness,
@@ -21,6 +20,7 @@ from qval.quasi import (
     value_witness,
 )
 from qval.sampling import elements_for, quad_elements, rationals
+from qval.topology import QVRing
 from qval.triples import QuasiValuation
 from qval.valuations import PAdicValuation, extensions_of, hensel_sqrt, v_p
 from qval.values import INFINITY, Value
@@ -187,6 +187,8 @@ def test_ring_membership_examples():
     assert ring.contains(0)
     assert QVRing(V23).contains(6)
     assert QVRing(V23).contains(Fraction(9, 7))
+    assert Fraction(9, 7) in ring and Fraction(1, 2) not in ring
+    assert str(ring) == "ring[min[vp:2|vp:3]]"
 
 
 def test_scaling_preserves_the_ring():
@@ -244,3 +246,10 @@ def test_value_witness_certifies_every_bound():
             y = value_witness(w, m)
             assert y != 0
             assert w.value(y) >= m, (w, m)
+    # a member that restricts to no single v_p need not have the value 1 at p:
+    # w(216) = 1 < 3 under the first, and w(2^-3·3^-3) = -6 under the second
+    for w in (MinOf((NAdic(4), PAdicValuation(3))),
+              MinOf((Scaled(PAdicValuation(2), 2), PAdicValuation(3)))):
+        for m in (3, -3):
+            with pytest.raises(DomainError, match="restricts to no single p-adic valuation"):
+                value_witness(w, m)

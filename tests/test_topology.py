@@ -10,11 +10,12 @@ import qval.triples
 from qval.errors import DomainError, PropertyViolation
 from qval.lemmas import constructor_pool
 from qval.quadratic import QuadElem
-from qval.quasi import MinOf, NAdic, QVRing, Scaled, min_extension
+from qval.quasi import MinOf, NAdic, Scaled, min_extension
 from qval.report import PropertyReport
 from qval.sampling import ball_members, elements_for, member_triples, rationals, shift_above
 from qval.topology import (
     Ball,
+    QVRing,
     Side,
     balls_contain,
     dichotomy,
@@ -335,9 +336,10 @@ def test_ring_value_equivalence_reports_ring_disagreement():
     assert not report.passed
 
 
-def _reference_ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6), seed=None):
+def _reference_ring_value_equivalence(w1, w2, samples, seed=None):
     """ring_value_equivalence as one scalar value() and one Ball.contains per
     sample, threshold and center: the per-alpha loop the matrices replace."""
+    alpha_grid = range(-5, 6)
     report = PropertyReport(lemma="ring-value-equivalence", seed=seed)
     p1, p2 = w1.extended_prime, w2.extended_prime
     report.record()
@@ -387,18 +389,18 @@ def _reference_ring_value_equivalence(w1, w2, samples, alpha_grid=range(-5, 6), 
     return report
 
 
-def _reports_agree(w1, w2, samples, **options):
-    report = ring_value_equivalence(w1, w2, samples, seed=5, **options)
-    assert report.to_dict() == _reference_ring_value_equivalence(
-        w1, w2, samples, seed=5, **options).to_dict()
+def _reports_agree(w1, w2, samples):
+    report = ring_value_equivalence(w1, w2, samples, seed=5)
+    assert report.to_dict() == _reference_ring_value_equivalence(w1, w2, samples, seed=5).to_dict()
     return report
 
 
 def test_ring_value_equivalence_matches_the_scalar_loop_on_passing_pairs():
     rng = random.Random(13)
     u1, u2 = extensions_of(7, 2)
+    ram = extensions_of(2, -1)[0]  # value denominator 2: thresholds α·2
     for w1, w2 in ((MinOf((u1, u2)), MinOf((u2, u1))), (u1, u1), (V3, V3),
-                   (min_extension(3, 2), min_extension(3, 2))):
+                   (min_extension(3, 2), min_extension(3, 2)), (ram, ram)):
         for count in (2, 9, 40):
             assert _reports_agree(w1, w2, elements_for(w1, rng, count)).passed
     # past the int64 gate the gauges are Python ints, still compared exactly
@@ -424,10 +426,8 @@ def test_ring_value_equivalence_matches_the_scalar_loop_on_threshold_failures():
     # inside both rings, but √2 − s is deeper under the branch of s than under the min
     samples = [x for x in elements_for(u1, rng, 200) if w2.value(x) >= 0][:30]
     samples += [QuadElem(-hensel_sqrt(7, 2, 3, b), 1, 2) for b in (1, 2)]
-    for grid in (range(-5, 6), [3, 0, 1], []):
-        report = _reports_agree(u1, w2, samples, alpha_grid=grid)
-        kinds = {f.expected.split()[0] for f in report.failures}
-        assert kinds == ({"w1(x)", "closed"} if grid else set())
+    report = _reports_agree(u1, w2, samples)
+    assert {f.expected.split()[0] for f in report.failures} == {"w1(x)", "closed"}
 
 
 def test_ring_value_equivalence_on_empty_and_single_samples():
@@ -435,6 +435,26 @@ def test_ring_value_equivalence_on_empty_and_single_samples():
         report = _reports_agree(V3, V3, samples)
         assert report.passed
         assert report.instances == 1 + len(samples) * (1 + 11 + 11)
+
+
+def test_ring_value_equivalence_makes_one_gauge_matrix_per_quasi_valuation(monkeypatch):
+    # row 0 gives the ring and the thresholds, the later rows the closed balls
+    calls = []
+
+    def recording(w, centers, points):
+        calls.append((w, len(centers), len(points)))
+        return qval.batch.gauge_matrix(w, centers, points)
+
+    monkeypatch.setattr(qval.topology, "gauge_matrix", recording)
+    u1, u2 = extensions_of(7, 2)
+    samples = elements_for(u1, random.Random(19), 40)
+    for w1, w2, passed in ((MinOf((u1, u2)), MinOf((u2, u1)), True), (u1, u2, False)):
+        calls.clear()
+        assert ring_value_equivalence(w1, w2, samples).passed is passed
+        assert calls == [(w1, 1 + 8, 40), (w2, 1 + 8, 40)]
+    calls.clear()
+    assert not ring_value_equivalence(u1, Scaled(u1, 2), samples).passed
+    assert calls == []  # refused at the preconditions
 
 
 def test_contains_all_agrees_with_contains():
@@ -456,8 +476,10 @@ def test_ring_contains_all_agrees_with_contains():
     for w in constructor_pool():
         points = elements_for(w, rng, 30)
         points += [x * 7**30 for x in points[-5:]] + [x / 5**40 for x in points[-5:]]
-        ring = QVRing(w)
-        assert ring.contains_all(_on(w.d, points)).tolist() == [ring.contains(x) for x in points], w
+        ring, triples = QVRing(w), _on(w.d, points)
+        assert ring.contains_all(triples).tolist() == [ring.contains(x) for x in points], w
+        assert ring.contains_all(triples).tolist() == Ball(w, 0, 0, strict=False).contains_all(
+            triples).tolist(), w
     assert QVRing(V2).contains_all([]).tolist() == []
 
 
