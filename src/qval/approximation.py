@@ -33,7 +33,7 @@ from .exprparse import MAX_DIGITS, parse_rational
 from .primes import int_valuation
 from .quadratic import QuadElem
 from .quasi import min_extension
-from .triples import field_element, field_triple
+from .triples import extended_prime_of, field_element, field_triple, require_extended_prime
 from .valuations import require_prime
 from .values import Value
 
@@ -155,7 +155,7 @@ def intersection_basis(d: int, qvs) -> tuple[QuadElem, QuadElem]:
     for qv in qvs:
         while qv.value(r) < 0:
             deficit = -qv.value(r).finite_part
-            r = r * Fraction(qv.extended_prime) ** math.ceil(deficit)
+            r = r * Fraction(require_extended_prime(qv)) ** math.ceil(deficit)
     for qv in qvs:
         if qv.value(one) < 0 or qv.value(r) < 0:
             raise PropertyViolation(f"basis element valued negatively under {qv}")
@@ -180,7 +180,7 @@ def weak_approx(d: int, targets, qvs=None) -> ApproxSolution:
     if len(qvs) != len(targets):
         raise DomainError("one quasi-valuation per target is required")
     for t, qv in zip(targets, qvs):
-        if qv.extended_prime != t.p:
+        if extended_prime_of(qv) != t.p:
             raise DomainError(f"{qv} does not extend v_{t.p}")
         if qv.d != d:
             raise DomainError(f"{qv} is not defined on Q(sqrt({d}))")

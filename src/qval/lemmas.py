@@ -26,9 +26,8 @@ import numpy as np
 from .errors import DomainError, PropertyViolation
 from .quasi import MinOf, NAdic, Scaled, min_extension
 from .report import PropertyReport
-from .sampling import (_drawn_triple, _randint, _witness_above, ball_members, deck_triples,
-                       elements_for, grid_point, member_triples, shift_above, shift_below,
-                       shifted)
+from .sampling import (_randint, _witness_above, ball_members, deck_triples, elements_for,
+                       grid_point, member_triples, shift_above, shift_below, shifted)
 from .topology import (
     Ball,
     Side,
@@ -42,7 +41,7 @@ from .topology import (
     shared_members,
     threshold_disagreement,
 )
-from .triples import field_element, field_triple, reduced
+from .triples import extended_prime_of, field_element, field_triple, reduced
 from .valuations import PAdicValuation, SplitKind, extensions_of, primes_by_kind
 
 FIELD_PARAMETERS = (-1, 2, 5, -7)
@@ -65,7 +64,7 @@ def _frozen_pool(extending_only: bool) -> tuple:
     pool.extend((NAdic(6), NAdic(12)))
     if not extending_only:
         pool.append(MinOf((PAdicValuation(2), PAdicValuation(3))))
-    return tuple(w for w in pool if not extending_only or w.extended_prime is not None)
+    return tuple(w for w in pool if not extending_only or extended_prime_of(w) is not None)
 
 
 def _random_bound(rng: random.Random) -> Fraction:
@@ -77,11 +76,8 @@ def _pick(pool, rng: random.Random):
 
 
 def _one_element(w, rng: random.Random):
-    """The element of deck_triples(w.d, rng, 8, include_zero=False)[-1], with that deck's
-    draws (after its 2 fixed entries on Q, 3 on Q(√d)); only the kept draw is reduced."""
-    for _ in range(6 if w.d is None else 5):
-        t = _drawn_triple(w.d, rng)
-    return field_element(reduced(*t), w.d)
+    """The last entry of a deck of 8 nonzero elements: one draw past its fixed entries."""
+    return field_element(deck_triples(w.d, rng, 8, include_zero=False)[-1], w.d)
 
 
 def check_recentering(seed: int, instances: int = 20, samples: int = 100) -> PropertyReport:

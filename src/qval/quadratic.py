@@ -12,9 +12,9 @@ canonical, so equality compares integers, and field arithmetic runs on
 Python ints: each result is reduced by one gcd and built without Fractions
 and without re-checking d, which its operands already carry validated.
 Only the public constructor ``QuadElem(a, b, d)`` takes outside input; it
-accepts anything ``Fraction()`` does, an integer (a numpy one too) read as
-an int, and validates d.  An element enters a field's evaluation through
-``triples.field_triple``.
+accepts anything ``Fraction()`` does, an integer (a numpy one too, or a
+Fraction's part) read as an int, and validates d.  An element enters a
+field's evaluation through ``triples.field_triple``.
 
 All operations are exact; nothing in this module rounds.
 """
@@ -54,8 +54,13 @@ def validate_discriminant(d: int) -> int:
 
 
 def _fraction(x) -> Fraction:
-    """Fraction(x) on Python ints: an integer, which ``Fraction()`` would keep, enters as an int."""
-    return Fraction(index(x) if hasattr(x, "__index__") else x)
+    """Fraction(x) on Python ints: an integer enters as an int, and so do the parts of
+    a Fraction, where ``Fraction()`` would keep a numpy integer."""
+    if hasattr(x, "__index__"):
+        return Fraction(index(x))
+    x = Fraction(x)
+    n, m = x.numerator, x.denominator
+    return x if type(n) is type(m) is int else Fraction(int(n), int(m))
 
 
 class QuadElem:

@@ -16,6 +16,8 @@ constructor evaluates integer triples in its ``triple_value``, sizing any
 integer it forms there (``triples.formed``), and inherits ``value``; the
 axiom harness runs it on arrays of every sample, sum and product (``batch``).
 The ring O_w = {x : w(x) ≥ 0} is the closed ball Ũ_0(0), ``topology.QVRing``.
+Every value witness and graded element is a power of one rational base per
+w, ``graded_base``, read from ``extended_prime`` (``triples.extended_prime_of``).
 """
 
 import math
@@ -27,8 +29,8 @@ from . import batch
 from .errors import DomainError, PropertyViolation
 from .primes import factorize, is_prime
 from .report import PropertyReport
-from .triples import (QuasiValuation, clamp_inf, field_element, field_triple, minimum,
-                      multiplicity, require_quasi_valuation, times)
+from .triples import (QuasiValuation, clamp_inf, extended_prime_of, field_element, field_triple,
+                      minimum, multiplicity, require_quasi_valuation, times)
 from .valuations import (ExtendedValuation, PAdicValuation, SplitKind, content_value,
                          extensions_of)
 from .values import Value
@@ -60,6 +62,8 @@ class MinOf(QuasiValuation):
         if len(fields) != 1:
             raise DomainError(f"MinOf members live in different fields: {sorted(map(str, fields))}")
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "value_denominator",
+                           reduce(math.lcm, (m.value_denominator for m in members)))
         first = members[0]
         object.__setattr__(self, "_split_pair", len(members) == 2
                            and type(first) is ExtendedValuation and first.kind is SplitKind.SPLIT
@@ -71,16 +75,8 @@ class MinOf(QuasiValuation):
 
     @property
     def extended_prime(self) -> int | None:
-        primes = {m.extended_prime for m in self.members}
+        primes = {extended_prime_of(m) for m in self.members}
         return primes.pop() if len(primes) == 1 else None
-
-    @property
-    def base_primes(self) -> frozenset[int]:
-        return frozenset().union(*(m.base_primes for m in self.members))
-
-    @property
-    def value_denominator(self) -> int:
-        return reduce(math.lcm, (m.value_denominator for m in self.members))
 
     def triple_value(self, a, b, q):
         if self._split_pair:
@@ -114,10 +110,6 @@ class NAdic(QuasiValuation):
     def extended_prime(self) -> int | None:
         return self.n if is_prime(self.n) else None
 
-    @property
-    def base_primes(self) -> frozenset[int]:
-        return frozenset(p for p, _ in factorize(self.n))
-
     def triple_value(self, a, b, q):
         parts = ((multiplicity(a, p) - multiplicity(q, p)) // c for p, c in factorize(self.n))
         return clamp_inf(reduce(minimum, parts), a == 0)
@@ -150,11 +142,7 @@ class Scaled(QuasiValuation):
 
     @property
     def extended_prime(self) -> int | None:
-        return self.inner.extended_prime if self.factor == 1 else None
-
-    @property
-    def base_primes(self) -> frozenset[int]:
-        return self.inner.base_primes
+        return extended_prime_of(self.inner) if self.factor == 1 else None
 
     @property
     def value_denominator(self) -> int:
@@ -292,34 +280,35 @@ def value_bound(w, x) -> int:
     return val.floor() + 1
 
 
-def graded_element(w, e: int):
-    """A nonzero rational g with w(g) known exactly; returns (g, w(g)).
-
-    Built from the primes w is made of: p^e for a single base prime,
-    (∏ p_i)^e for a minimum over several, n^e for the n-adic function.
-    A minimum with a member restricting to no single v_p is refused.
-    """
+def graded_base(w) -> tuple[int, int | Fraction]:
+    """(g, unit) with w(g^e) = e·unit for every integer e: g is n for the n-adic function,
+    else the product of the distinct primes w or a minimum's members extend, at unit 1;
+    rescaling scales the unit.  A w or member restricting to no single v_p is refused."""
     if isinstance(w, Scaled):
-        g, val = graded_element(w.inner, e)
-        return g, val * w.factor
+        g, unit = graded_base(w.inner)
+        return g, unit * w.factor
     if isinstance(w, NAdic):
-        return Fraction(w.n) ** e, Fraction(e)
-    if isinstance(w, MinOf) and any(m.extended_prime is None for m in w.members):
-        raise DomainError(f"{w} has a member that restricts to no single p-adic valuation")
-    base = 1
-    for p in sorted(w.base_primes):
-        base *= p
-    return Fraction(base) ** e, Fraction(e)
+        return w.n, 1
+    primes = {extended_prime_of(m) for m in (w.members if isinstance(w, MinOf) else (w,))}
+    if None in primes:
+        owner = "has a member that restricts" if isinstance(w, MinOf) else "restricts"
+        raise DomainError(f"{w} {owner} to no single p-adic valuation")
+    return math.prod(primes), 1
+
+
+def graded_element(w, e: int):
+    """A nonzero rational with w known exactly: (g^e, e·unit) for ``graded_base``'s (g, unit)."""
+    g, unit = graded_base(w)
+    return Fraction(g) ** e, Fraction(e * unit)
 
 
 def value_witness(w, m):
-    """A nonzero element y with w(y) ≥ m, certifying the bound m is attainable.
+    """A nonzero element y with w(y) ≥ m, certifying the bound m is attainable:
+    g^⌈m/unit⌉ for ``graded_base``'s (g, unit).
 
     Exists for every rational m under the constructors implemented here,
     which is exactly why none of them induces a discrete topology.
     """
     m = Fraction(m)
-    if isinstance(w, Scaled):
-        return value_witness(w.inner, m / w.factor)
-    g, _ = graded_element(w, math.ceil(m))
-    return g
+    g, unit = graded_base(w)
+    return Fraction(g) ** -(-(m.numerator * unit.denominator) // (m.denominator * unit.numerator))

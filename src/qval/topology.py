@@ -35,7 +35,8 @@ import numpy as np
 from .batch import clears, difference, gauge_matrix
 from .errors import DomainError, PropertyViolation
 from .report import PropertyReport
-from .triples import field_element, field_triple, reduced
+from .triples import (extended_prime_of, field_element, field_triple, reduced,
+                      require_extended_prime)
 from .valuations import PAdicValuation
 from .values import INFINITY, Value
 
@@ -201,16 +202,6 @@ def integer_refinement(ball: Ball) -> BallRefinement:
 # the ring as the carrier of the topology
 
 
-def _require_extended_prime(w) -> int:
-    p = w.extended_prime
-    if p is None:
-        raise DomainError(
-            f"{w} does not restrict to a single p-adic valuation on Q; "
-            "this operation needs a declared base prime"
-        )
-    return p
-
-
 def _over(x, a):
     """x·a⁻¹ as a reduced triple, for a triple x and a nonzero rational triple a."""
     (xa, xb, xq), (n, _, m) = x, a
@@ -222,12 +213,12 @@ def membership_scaling_rows(w, xs, thresholds) -> list[tuple[bool, bool, bool, b
     """The readings (a)–(d) of ``membership_scaling_chain`` for each pair (x, a),
     given as triples of w's field and of Q, each from its own slice: w(x) against
     the ``PAdicValuation(p)`` row of v(a) for (a) and (b), w(x·a⁻¹) for (c), both
-    from one row of w over xs then the x·a⁻¹, and ``QVRing.contains_all`` for (d)."""
+    from one row of w over xs then the x·a⁻¹, and w(x·a⁻¹) at ``QVRing``'s bound for (d)."""
     if len(xs) != len(thresholds):
         raise DomainError(f"{len(xs)} elements against {len(thresholds)} thresholds")
     if not all(a for a, _, _ in thresholds):
         raise DomainError("the threshold element a must be nonzero")
-    p = _require_extended_prime(w)
+    p = require_extended_prime(w)
     den = w.value_denominator
     origin = [(0, 0, 1)]
     (va,), _ = gauge_matrix(PAdicValuation(p), origin, thresholds)
@@ -239,7 +230,7 @@ def membership_scaling_rows(w, xs, thresholds) -> list[tuple[bool, bool, bool, b
         (x_zero | (wx >= va * den)).tolist(),
         (x_zero | (wx - va * den >= 0)).tolist(),
         (xa_zero | (wxa >= 0)).tolist(),
-        QVRing(w).contains_all(scaled).tolist(),
+        clears(w, wxa, xa_zero, QVRing(w).bound).tolist(),
     ))
 
 
@@ -281,7 +272,7 @@ def ring_value_equivalence(w1, w2, samples, seed: int | None = None) -> Property
     sampled centers' rows.
     """
     report = PropertyReport(lemma="ring-value-equivalence", seed=seed)
-    p1, p2 = w1.extended_prime, w2.extended_prime
+    p1, p2 = extended_prime_of(w1), extended_prime_of(w2)
     report.record()
     if p1 is None or p2 is None or p1 != p2:
         report.fail(

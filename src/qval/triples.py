@@ -33,6 +33,7 @@ of the two is still divisible at m, all a content or a ramified value reads.
 
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 import numpy as np
 
@@ -49,12 +50,12 @@ INT64_LIMIT = 1 << 62
 def field_triple(x, d: int | None) -> tuple[int, int, int]:
     """x as an integer triple over Q (d is None) or over Q(√d): the one way into a field.
 
-    A rational enters either field (a Fraction read as it is, anything else
-    through ``_fraction``), and so does a rational QuadElem of any field; a
+    A rational enters either field (a Fraction's parts as Python ints, anything
+    else through ``_fraction``), and so does a rational QuadElem of any field; a
     QuadElem of Q(√d) enters Q(√d) as its own triple.  Anything else is refused,
     and a rational entering Q(√d) validates d as the public constructor does."""
-    if type(x) is Fraction:
-        t = x.numerator, 0, x.denominator
+    if type(x) is Fraction:  # whose parts may be numpy integers
+        t = index(x.numerator), 0, index(x.denominator)
     elif isinstance(x, QuadElem):
         if x.d == d:
             return x.A, x.B, x.Q
@@ -89,8 +90,10 @@ class QuasiValuation:
 
     A subclass provides ``d`` (None for Q, else the field is Q(√d)) and
     ``triple_value``, and overrides ``value_denominator`` where its values
-    are not all integers.  No field a dataclass subclass declares is given
-    a default here: dataclasses read defaults through the class hierarchy.
+    are not all integers.  It may declare ``extended_prime``, the p with
+    w|_Q = v_p; left out, w restricts to no single v_p (``extended_prime_of``).
+    No default is given here: dataclasses read defaults through the class
+    hierarchy, so a subclass field of that name would inherit it.
     """
 
     value_denominator = 1  # every value times this is an integer
@@ -117,6 +120,20 @@ def require_quasi_valuation(w):
     if not isinstance(w, QuasiValuation):
         raise DomainError(f"{w!r} is not a QuasiValuation subclass instance")
     return w
+
+
+def extended_prime_of(w) -> int | None:
+    """The p with w|_Q = v_p that w declares, or None where it declares none."""
+    return getattr(w, "extended_prime", None)
+
+
+def require_extended_prime(w) -> int:
+    """``extended_prime_of(w)``, or DomainError where w declares none."""
+    p = extended_prime_of(w)
+    if p is None:
+        raise DomainError(f"{w} does not restrict to a single p-adic valuation on Q; "
+                          "this operation needs a declared base prime")
+    return p
 
 
 def multiplicity(x, p: int):

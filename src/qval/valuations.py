@@ -119,10 +119,6 @@ class PAdicValuation(QuasiValuation):
     def extended_prime(self) -> int:
         return self.p
 
-    @property
-    def base_primes(self) -> frozenset[int]:
-        return frozenset((self.p,))
-
     def triple_value(self, a, b, q):
         return clamp_inf(multiplicity(a, self.p) - multiplicity(q, self.p), a == 0)
 
@@ -158,10 +154,6 @@ class ExtendedValuation(QuasiValuation):
     @property
     def extended_prime(self) -> int:
         return self.p
-
-    @property
-    def base_primes(self) -> frozenset[int]:
-        return frozenset((self.p,))
 
     @property
     def value_denominator(self) -> int:

@@ -123,6 +123,9 @@ def test_intersection_basis_scales_when_needed():
     one, r = intersection_basis(2, [qv])
     assert qv.value(r) >= 0
     assert r.a == 0 and r.b == 81  # scaled by 3^4
+    del qv.extended_prime  # no declared prime to rescale by
+    with pytest.raises(DomainError, match="this operation needs a declared base prime"):
+        intersection_basis(2, [qv])
 
 
 def test_weak_approx_example_instance():

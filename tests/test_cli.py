@@ -95,7 +95,6 @@ class _HalvedV2(QuasiValuation):
 
     d = None
     extended_prime = 2
-    base_primes = frozenset((2,))
 
     def triple_value(self, a, b, q):
         return PAdicValuation(2).triple_value(a, b, q) // 2

@@ -200,6 +200,12 @@ def test_numpy_integers_enter_a_field_as_python_ints():
     assert w.value(x) == w.value(QuadElem(a, 1, 2)) == Value(20)
     assert all(type(c) is int for c in field_triple(np.int64(3), None))
     assert PAdicValuation(2).value(np.int64(2**62)) == Value(62)
+    # and so does a Fraction built from numpy integers, which keeps them as its parts
+    assert all(type(c) is int for c in field_triple(Fraction(np.int64(3), np.int64(4)), None))
+    assert PAdicValuation(2).value(Fraction(np.int64(2**62), np.int64(3))) == Value(62)
+    x = QuadElem(Fraction(np.int64(a), np.int64(1)), 1, 2)
+    assert all(type(c) is int for c in (x.A, x.B, x.Q))
+    assert w.value(x) == Value(20)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qval.approximation import weak_approx
 from qval.errors import DomainError
+from qval.lemmas import constructor_pool
 from qval.quadratic import QuadElem
 from qval.quasi import (
     MinOf,
     NAdic,
     Scaled,
     check_axioms,
+    graded_element,
     instability_witness,
     min_extension,
     n_adic,
@@ -20,7 +23,7 @@ from qval.quasi import (
     value_witness,
 )
 from qval.sampling import elements_for, quad_elements, rationals
-from qval.topology import QVRing
+from qval.topology import QVRing, membership_scaling_chain, ring_value_equivalence
 from qval.triples import QuasiValuation
 from qval.valuations import PAdicValuation, extensions_of, hensel_sqrt, v_p
 from qval.values import INFINITY, Value
@@ -125,7 +128,6 @@ class _SignFlipped(QuasiValuation):
     """v_2 corrupted at a single input; the harness must catch it."""
 
     d = None
-    base_primes = frozenset((2,))
     extended_prime = 2
 
     def triple_value(self, a, b, q):
@@ -232,6 +234,47 @@ def test_value_witness_examples():
     assert value_witness(NAdic(12), 3) == Fraction(12**3)
 
 
+NESTED = Scaled(Scaled(PAdicValuation(3), 2), Fraction(1, 3))
+
+
+def test_graded_element_has_the_value_it_claims():
+    # shift_below builds its points outside a ball from this exact value
+    for w in constructor_pool() + [NESTED]:
+        for e in range(-4, 5):
+            g, val = graded_element(w, e)
+            assert w.value(g) == Value(val), (w, e)
+    assert graded_element(NESTED, 3) == (Fraction(27), Fraction(2))
+
+
+class _Bare(QuasiValuation):
+    """v_2 with only what a subclass must provide: no extended_prime."""
+
+    d = None
+
+    def triple_value(self, a, b, q):
+        return PAdicValuation(2).triple_value(a, b, q)
+
+    def __str__(self):
+        return "bare-v2"
+
+
+def test_a_subclass_without_extended_prime_restricts_to_no_single_valuation():
+    bare = _Bare()
+    assert MinOf((bare,)).extended_prime is None
+    assert Scaled(bare, 1).extended_prime is None
+    with pytest.raises(DomainError, match="bare-v2 restricts to no single p-adic valuation"):
+        value_witness(bare, 3)
+    with pytest.raises(DomainError, match="does not restrict to a single p-adic valuation"):
+        membership_scaling_chain(bare, 4, 2)
+    with pytest.raises(DomainError, match="bare-v2 does not extend v_3"):
+        weak_approx(2, [(3, 1, 2)], [bare])
+    report = ring_value_equivalence(bare, PAdicValuation(2), [1, 2, 4])
+    assert not report.passed
+    (failure,) = report.failures
+    assert failure.expected == "both quasi-valuations extend one common p-adic valuation"
+    assert failure.got == "base primes None and 2"
+
+
 def test_value_witness_certifies_every_bound():
     grid = [Fraction(k, 2) for k in range(-8, 9)]
     for w in (
@@ -241,6 +284,7 @@ def test_value_witness_certifies_every_bound():
         extensions_of(2, 2)[0],
         Scaled(min_extension(7, 2), Fraction(3, 2)),
         PAdicValuation(5),
+        NESTED,
     ):
         for m in grid:
             y = value_witness(w, m)
