@@ -14,12 +14,16 @@ element of a point only when it reports that point or centers a ball on it.
 A ball check draws an instance's members, then meets them in one gauge matrix.
 
 The string ids used by the CLI (`2.2`, `2.10`, ...) are stable names for
-the individual statements; see ``LEMMA_IDS``.
+the individual statements; see ``LEMMA_IDS``.  ``run_lemma`` owns the run:
+it seeds the rng, labels the report with the id, and each instance's w is
+drawn as that instance begins (``_drawn``).  A check takes (rng, report,
+instances, samples) and states only what it draws and what it asserts.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -75,19 +79,21 @@ def _pick(pool, rng: random.Random):
     return pool[_randint(rng, 0, len(pool) - 1)]
 
 
+def _drawn(pool, rng: random.Random, instances: int):
+    """Each instance's w, picked from pool as that instance begins."""
+    for _ in range(instances):
+        yield _pick(pool, rng)
+
+
 def _one_element(w, rng: random.Random):
     """The last entry of a deck of 8 nonzero elements: one draw past its fixed entries."""
     return field_element(deck_triples(w.d, rng, 8, include_zero=False)[-1], w.d)
 
 
-def check_recentering(seed: int, instances: int = 20, samples: int = 100) -> PropertyReport:
+def check_recentering(rng: random.Random, report: PropertyReport, instances: int, samples: int):
     """A point in two overlapping strict balls has a strict ball around it
     inside the intersection (the larger bound recentered)."""
-    rng = random.Random(seed)
-    pool = constructor_pool()
-    report = PropertyReport(lemma="2.2", seed=seed)
-    for _ in range(instances):
-        w = _pick(pool, rng)
+    for w in _drawn(constructor_pool(), rng, instances):
         y = _one_element(w, rng)
         bounds = sorted((_random_bound(rng), _random_bound(rng)))
         first = Ball(w, y - shift_above(w, bounds[0], rng, strict=True), bounds[0])
@@ -109,17 +115,12 @@ def check_recentering(seed: int, instances: int = 20, samples: int = 100) -> Pro
                 "recentered ball lies inside both balls",
                 f"in first: {in_first[k]}, in second: {in_second[k]}",
             )
-    return report
 
 
-def check_overlap_bound(seed: int, instances: int = 20, samples: int = 100) -> PropertyReport:
+def check_overlap_bound(rng: random.Random, report: PropertyReport, instances: int, samples: int):
     """If some z lies in the strict m-balls of both x and y, then the
     centers themselves satisfy w(y−x) > m."""
-    rng = random.Random(seed)
-    pool = constructor_pool()
-    report = PropertyReport(lemma="2.10", seed=seed)
-    for _ in range(instances):
-        w = _pick(pool, rng)
+    for w in _drawn(constructor_pool(), rng, instances):
         x = _one_element(w, rng)
         m = _random_bound(rng)
         g = _witness_above(w, m, strict=True)  # so z − x and z − y are shifts above m
@@ -136,16 +137,11 @@ def check_overlap_bound(seed: int, instances: int = 20, samples: int = 100) -> P
                 f"w(y - x) > {m}",
                 str(w.value(y - x)),
             )
-    return report
 
 
-def check_hausdorff_witnesses(seed: int, instances: int = 20, samples: int = 100) -> PropertyReport:
+def check_hausdorff_witnesses(rng: random.Random, report: PropertyReport, instances: int, samples: int):
     """Distinct points get disjoint strict balls at bound m = w(y−x)."""
-    rng = random.Random(seed)
-    pool = constructor_pool()
-    report = PropertyReport(lemma="2.11", seed=seed)
-    for _ in range(instances):
-        w = _pick(pool, rng)
+    for w in _drawn(constructor_pool(), rng, instances):
         x = _one_element(w, rng)
         y = _one_element(w, rng)
         if x == y:
@@ -158,17 +154,12 @@ def check_hausdorff_witnesses(seed: int, instances: int = 20, samples: int = 100
         for z in shared_members(ball_x, ball_y, in_x, in_y):
             report.fail({"w": w, "x": x, "y": y, "z": field_element(z, w.d), "m": m},
                         "balls are disjoint", "z lies in both")
-    return report
 
 
-def check_clopen_separation(seed: int, instances: int = 20, samples: int = 100) -> PropertyReport:
+def check_clopen_separation(rng: random.Random, report: PropertyReport, instances: int, samples: int):
     """Strict balls are closed as well as open: around any point outside
     U_m(x), the whole ball U_m(y) misses U_m(x)."""
-    rng = random.Random(seed)
-    pool = constructor_pool()
-    report = PropertyReport(lemma="2.12", seed=seed)
-    for _ in range(instances):
-        w = _pick(pool, rng)
+    for w in _drawn(constructor_pool(), rng, instances):
         x = _one_element(w, rng)
         m = _random_bound(rng)
         ball_x = Ball(w, x, m, strict=True)
@@ -190,17 +181,12 @@ def check_clopen_separation(seed: int, instances: int = 20, samples: int = 100) 
                 "U_m(y) misses U_m(x) for outside y",
                 "z lies in both",
             )
-    return report
 
 
-def check_closed_ball_dichotomy(seed: int, instances: int = 20, samples: int = 100) -> PropertyReport:
+def check_closed_ball_dichotomy(rng: random.Random, report: PropertyReport, instances: int, samples: int):
     """Translating a closed ball to any point keeps it entirely inside or
     entirely outside; exactly one side applies to each point."""
-    rng = random.Random(seed)
-    pool = constructor_pool()
-    report = PropertyReport(lemma="2.14", seed=seed)
-    for _ in range(instances):
-        w = _pick(pool, rng)
+    for w in _drawn(constructor_pool(), rng, instances):
         x = _one_element(w, rng)
         m = _random_bound(rng)
         ball = Ball(w, x, m, strict=False)
@@ -229,17 +215,12 @@ def check_closed_ball_dichotomy(seed: int, instances: int = 20, samples: int = 1
                     f"translated ball stays {side.value}",
                     f"member on the {('outside' if side is Side.INSIDE else 'inside')}",
                 )
-    return report
 
 
-def check_integer_refinement(seed: int, instances: int = 20, samples: int = 100) -> PropertyReport:
+def check_integer_refinement(rng: random.Random, report: PropertyReport, instances: int, samples: int):
     """A strict ball is a union of closed balls at the integer bound
     floor(m) + 1 around its own members."""
-    rng = random.Random(seed)
-    pool = constructor_pool()
-    report = PropertyReport(lemma="2.15", seed=seed)
-    for _ in range(instances):
-        w = _pick(pool, rng)
+    for w in _drawn(constructor_pool(), rng, instances):
         x = _one_element(w, rng)
         m = _random_bound(rng)
         ball = Ball(w, x, m, strict=True)
@@ -275,16 +256,11 @@ def check_integer_refinement(seed: int, instances: int = 20, samples: int = 100)
                     "closed piece stays inside the strict ball",
                     "member escaped",
                 )
-    return report
 
 
-def check_threshold_chain(seed: int, instances: int = 20, samples: int = 100) -> PropertyReport:
+def check_threshold_chain(rng: random.Random, report: PropertyReport, instances: int, samples: int):
     """The four readings of w(x) ≥ v(a) agree for every sampled (x, a)."""
-    rng = random.Random(seed)
-    pool = constructor_pool(extending_only=True)
-    report = PropertyReport(lemma="2.17", seed=seed)
-    for _ in range(instances):
-        w = _pick(pool, rng)
+    for w in _drawn(constructor_pool(extending_only=True), rng, instances):
         xs = deck_triples(w.d, rng, samples)
         thresholds = []  # a = num/den as a triple over Q
         while len(thresholds) < samples:
@@ -297,14 +273,11 @@ def check_threshold_chain(seed: int, instances: int = 20, samples: int = 100) ->
                 x, a = field_element(x, w.d), field_element(a, None)
                 report.fail({"w": w, "x": x, "a": a}, "four-way agreement",
                             threshold_disagreement(w, x, a, conditions))
-    return report
 
 
-def check_shared_ring_equivalence(seed: int, instances: int = 20, samples: int = 100) -> PropertyReport:
+def check_shared_ring_equivalence(rng: random.Random, report: PropertyReport, instances: int, samples: int):
     """Constructible same-ring pairs clear identical thresholds, and
     rescaled variants are rejected for not extending the base valuation."""
-    rng = random.Random(seed)
-    report = PropertyReport(lemma="2.18", seed=seed)
     pairs = []
     for d in FIELD_PARAMETERS:
         p = primes_by_kind(d, SplitKind.SPLIT, count=1)[0]
@@ -314,27 +287,21 @@ def check_shared_ring_equivalence(seed: int, instances: int = 20, samples: int =
     pairs.append((PAdicValuation(3), PAdicValuation(3)))
     pairs.append((min_extension(3, 2), min_extension(3, 2)))
 
-    count = 0
-    while count < instances:
-        for w1, w2 in pairs:
-            if count >= instances:
-                break
-            count += 1
-            xs = elements_for(w1, rng, samples)
-            sub = ring_value_equivalence(w1, w2, xs, seed=seed)
-            report.record(sub.instances)
-            report.failures.extend(sub.failures)
+    for w1, w2 in islice(cycle(pairs), instances):
+        xs = elements_for(w1, rng, samples)
+        sub = ring_value_equivalence(w1, w2, xs)
+        report.record(sub.instances)
+        report.failures.extend(sub.failures)
 
-            factor = rng.choice((Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2)))
-            rejected = ring_value_equivalence(w1, Scaled(w1, factor), xs, seed=seed)
-            report.record()
-            if rejected.passed:
-                report.fail(
-                    {"w1": w1},
-                    "rescaled variant rejected at the extends-the-base-valuation check",
-                    "equivalence ran and passed",
-                )
-    return report
+        factor = rng.choice((Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2)))
+        rejected = ring_value_equivalence(w1, Scaled(w1, factor), xs)
+        report.record()
+        if rejected.passed:
+            report.fail(
+                {"w1": w1},
+                "rescaled variant rejected at the extends-the-base-valuation check",
+                "equivalence ran and passed",
+            )
 
 
 LEMMA_IDS = {
@@ -350,10 +317,13 @@ LEMMA_IDS = {
 
 
 def run_lemma(lemma_id: str, seed: int = 0, instances: int = 20, samples: int = 100) -> PropertyReport:
+    """The report of one check: labelled lemma_id, drawn from random.Random(seed)."""
     try:
         check = LEMMA_IDS[lemma_id]
     except KeyError:
         raise PropertyViolation(
             f"unknown check id {lemma_id!r}; known: {', '.join(sorted(LEMMA_IDS))}"
         ) from None
-    return check(seed, instances, samples)
+    report = PropertyReport(lemma=lemma_id, seed=seed)
+    check(random.Random(seed), report, instances, samples)
+    return report

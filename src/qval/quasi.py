@@ -296,12 +296,6 @@ def graded_base(w) -> tuple[int, int | Fraction]:
     return math.prod(primes), 1
 
 
-def graded_element(w, e: int):
-    """A nonzero rational with w known exactly: (g^e, e·unit) for ``graded_base``'s (g, unit)."""
-    g, unit = graded_base(w)
-    return Fraction(g) ** e, Fraction(e * unit)
-
-
 def value_witness(w, m):
     """A nonzero element y with w(y) ≥ m, certifying the bound m is attainable:
     g^⌈m/unit⌉ for ``graded_base``'s (g, unit).

@@ -26,12 +26,14 @@ import random
 from fractions import Fraction
 
 from .quadratic import QuadElem, validate_discriminant
-from .quasi import graded_element, value_witness
-from .triples import field_element, field_triple, reduced
+from .quasi import graded_base, value_witness
+from .triples import field_element, reduced
 
 Triple = tuple[int, int, int]
 # each drawn coordinate is a/b with |a| ≤ NUM_BOUND and 1 ≤ b ≤ DEN_BOUND
 NUM_BOUND, DEN_BOUND = 30, 12
+# each grid point t = a + b·√d has |a|, |b| ≤ GRID_BOUND
+GRID_BOUND = 9
 _RANDBELOW = random.Random._randbelow_with_getrandbits
 
 
@@ -89,12 +91,12 @@ def elements_for(w, rng: random.Random, count: int, include_zero: bool = True):
     return [field_element(t, w.d) for t in deck]
 
 
-def grid_point(w, rng: random.Random, bound: int = 9) -> tuple[int, int]:
+def grid_point(w, rng: random.Random) -> tuple[int, int]:
     """The integer coordinates (a, b) of a nonzero t = a + b·√d (b = 0 on Q), hence w(t) ≥ 0."""
     if w.d is None:
-        return _randint(rng, 1, bound) * (1, -1)[_randint(rng, 0, 1)], 0
+        return _randint(rng, 1, GRID_BOUND) * (1, -1)[_randint(rng, 0, 1)], 0
     while True:
-        a, b = _randint(rng, -bound, bound), _randint(rng, -bound, bound)
+        a, b = _randint(rng, -GRID_BOUND, GRID_BOUND), _randint(rng, -GRID_BOUND, GRID_BOUND)
         if a or b:
             return a, b
 
@@ -137,16 +139,16 @@ def ball_members(ball, rng: random.Random, count: int) -> list:
 
 
 def element_at_exact_value(w, e: int):
-    """An element with w known to equal e exactly (a power of the base)."""
-    g, val = graded_element(w, e)
-    return field_element(field_triple(g, w.d), w.d), val
+    """(g^e, e·unit) for ``graded_base``'s (g, unit): an element and its exact value."""
+    g, unit = graded_base(w)
+    return field_element((g**e, 0, 1) if e >= 0 else (1, 0, g**-e), w.d), Fraction(e * unit)
 
 
 def shift_below(w, bound: Fraction, strict_ball: bool):
     """A g with w(g) ≤ bound (for strict balls) or < bound (for closed ones),
     used to construct points *outside* a ball; returns (g, w(g))."""
     bound = Fraction(bound)
-    _, unit = graded_element(w, 1)  # graded values move in steps of this size
+    _, unit = graded_base(w)  # graded values move in steps of this size
     if strict_ball:
         e = math.floor(bound / unit)  # unit·e ≤ bound
     else:

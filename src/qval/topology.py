@@ -259,7 +259,7 @@ def threshold_disagreement(w, x, a, conditions) -> str:
 _ALPHAS = range(-5, 6)
 
 
-def ring_value_equivalence(w1, w2, samples, seed: int | None = None) -> PropertyReport:
+def ring_value_equivalence(w1, w2, samples) -> PropertyReport:
     """Two quasi-valuations with one ring clear the same integer thresholds.
 
     Preconditions (checked, and reported as failures when violated): both
@@ -271,7 +271,7 @@ def ring_value_equivalence(w1, w2, samples, seed: int | None = None) -> Property
     Each w reads it all from one gauge matrix: w(x) around 0, then the
     sampled centers' rows.
     """
-    report = PropertyReport(lemma="ring-value-equivalence", seed=seed)
+    report = PropertyReport(lemma="ring-value-equivalence")
     p1, p2 = extended_prime_of(w1), extended_prime_of(w2)
     report.record()
     if p1 is None or p2 is None or p1 != p2:

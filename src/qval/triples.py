@@ -28,7 +28,8 @@ On int64 arrays ``multiplicity`` divides nothing (the lowest set bit at
 p = 2, a multiply by p⁻¹ mod 2^64 at odd p); on dtype=object arrays it
 divides only the entries still divisible.  ``least_multiplicity`` is the
 one joint sweep of two arrays: it gives m = min(v_p(x), v_p(y)) and which
-of the two is still divisible at m, all a content or a ramified value reads.
+of the two is still divisible at m, all a ramified value or an odd-p
+content reads.
 """
 
 from fractions import Fraction

@@ -193,16 +193,11 @@ class ExtendedValuation(QuasiValuation):
         norm gives v_p(A + B·s) = v_p(A² − d·B²) − v_p(B) − e.
         """
         p, e = self.p, int(self.p == 2)
-
-        def past_one_digit(a, b, vt):  # v_p(B) ≥ 0, so only these can fail the seed test
-            vb = multiplicity(b, p)
-            return patch(vt, vt > vb + e,
-                         lambda a, b, vb: multiplicity(norm_form(a, b, self.d), p) - vb - e,
-                         a, b, vb)
-
         seed = _split_seeds(p, self.d)[self.branch - 1]
         vt = multiplicity(formed(lambda a, b: a + b * seed, a, b), p)
-        v = patch(vt, vt > e, past_one_digit, a, b, vt)
+        vb = multiplicity(b, p)
+        v = patch(vt, vt > vb + e,
+                  lambda a, b, vb: multiplicity(norm_form(a, b, self.d), p) - vb - e, a, b, vb)
         return clamp_inf(v - multiplicity(q, p), (a == 0) & (b == 0))
 
     def split_value_at_precision(self, x, k: int):
@@ -238,8 +233,9 @@ def content_value(p: int, a, b, q):
     (Neukirch, I §8 and II §8).  At odd p the basis is 1, √d; at p = 2
     (d ≡ 1 mod 4) it is 1, (1 + √d)/2, and A + B·√d = (A − B) + 2B·(1 + √d)/2.
     """
-    # int64 entries are below INT64_LIMIT, so A − B and 2B fit
-    v, _, _ = least_multiplicity(a - b, 2 * b, 2) if p == 2 else least_multiplicity(a, b, p)
+    # int64 entries are below INT64_LIMIT, so A − B and 2B fit; at p = 2 the least
+    # multiplicity of the two is the lowest set bit of their union
+    v = multiplicity((a - b) | (2 * b), 2) if p == 2 else least_multiplicity(a, b, p)[0]
     return clamp_inf(v - multiplicity(q, p), (a == 0) & (b == 0))
 
 

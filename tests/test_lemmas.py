@@ -11,13 +11,14 @@ from qval.batch import gauge_matrix
 from qval.errors import DomainError, PropertyViolation
 from qval.lemmas import (LEMMA_IDS, _one_element, _pick, _random_bound, constructor_pool,
                          run_lemma)
-from qval.quasi import Scaled
+from qval.quasi import MinOf, Scaled, min_extension
 from qval.report import PropertyReport
 from qval.sampling import ball_members, deck_triples, elements_for, shift_above, shift_below
 from qval.topology import (Ball, QVRing, Side, dichotomy, integer_refinement, recenter,
                            separation_witness)
 from qval.triples import QuasiValuation, field_element
-from qval.valuations import ExtendedValuation, PAdicValuation, v_p
+from qval.valuations import (ExtendedValuation, PAdicValuation, SplitKind, extensions_of,
+                             primes_by_kind, v_p)
 
 
 def test_pool_covers_all_shapes():
@@ -36,12 +37,62 @@ def test_lemma_checks_pass(lemma_id):
     assert report.instances > 0
 
 
-def test_reports_have_the_fixed_shape():
-    report = run_lemma("2.10", seed=7, instances=2, samples=10)
-    data = report.to_dict()
+@pytest.mark.parametrize("lemma_id", sorted(LEMMA_IDS))
+def test_reports_have_the_fixed_shape(lemma_id):
+    data = run_lemma(lemma_id, seed=7, instances=2, samples=10).to_dict()
     assert set(data) == {"lemma", "instances", "failures", "seed"}
-    assert data["lemma"] == "2.10"
+    assert data["lemma"] == lemma_id
     assert data["seed"] == 7
+
+
+def _reference_shared_ring_equivalence(seed, instances, samples):
+    """2.18 as a count of instances over repeated passes through the pairs, with a
+    break once the count is reached; it calls lemmas.ring_value_equivalence."""
+    rng = random.Random(seed)
+    report = PropertyReport(lemma="2.18", seed=seed)
+    pairs = []
+    for d in lemmas.FIELD_PARAMETERS:
+        u1, u2 = extensions_of(primes_by_kind(d, SplitKind.SPLIT, count=1)[0], d)
+        pairs += [(MinOf((u1, u2)), MinOf((u2, u1))), (u1, u1)]
+    pairs += [(PAdicValuation(3), PAdicValuation(3)), (min_extension(3, 2), min_extension(3, 2))]
+    count = 0
+    while count < instances:
+        for w1, w2 in pairs:
+            if count >= instances:
+                break
+            count += 1
+            xs = elements_for(w1, rng, samples)
+            sub = lemmas.ring_value_equivalence(w1, w2, xs)
+            report.record(sub.instances)
+            report.failures.extend(sub.failures)
+            factor = rng.choice((Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2)))
+            rejected = lemmas.ring_value_equivalence(w1, Scaled(w1, factor), xs)
+            report.record()
+            if rejected.passed:
+                report.fail({"w1": w1},
+                            "rescaled variant rejected at the extends-the-base-valuation check",
+                            "equivalence ran and passed")
+    return report
+
+
+@pytest.mark.parametrize("instances", [0, 1, 9, 10, 11, 25])
+def test_shared_ring_equivalence_cycles_its_pairs_in_order(monkeypatch, instances):
+    # the pool holds 10 pairs: 9, 10 and 11 instances stop before, at and after the wrap
+    calls = []
+
+    def recording(w1, w2, samples):
+        calls.append((w1, w2, list(samples)))
+        return topology.ring_value_equivalence(w1, w2, samples)
+
+    monkeypatch.setattr(lemmas, "ring_value_equivalence", recording)
+    for seed in range(3):
+        got = run_lemma("2.18", seed, instances, 4).to_dict()
+        got_calls = calls.copy()
+        calls.clear()
+        want = _reference_shared_ring_equivalence(seed, instances, 4).to_dict()
+        assert got == want and got_calls == calls, (seed, instances)
+        assert len(calls) == 2 * instances
+        calls.clear()
 
 
 def test_unknown_id_rejected():

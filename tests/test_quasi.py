@@ -14,7 +14,6 @@ from qval.quasi import (
     NAdic,
     Scaled,
     check_axioms,
-    graded_element,
     instability_witness,
     min_extension,
     n_adic,
@@ -22,7 +21,7 @@ from qval.quasi import (
     value_bound,
     value_witness,
 )
-from qval.sampling import elements_for, quad_elements, rationals
+from qval.sampling import element_at_exact_value, elements_for, quad_elements, rationals
 from qval.topology import QVRing, membership_scaling_chain, ring_value_equivalence
 from qval.triples import QuasiValuation
 from qval.valuations import PAdicValuation, extensions_of, hensel_sqrt, v_p
@@ -237,13 +236,13 @@ def test_value_witness_examples():
 NESTED = Scaled(Scaled(PAdicValuation(3), 2), Fraction(1, 3))
 
 
-def test_graded_element_has_the_value_it_claims():
+def test_element_at_exact_value_has_the_value_it_claims():
     # shift_below builds its points outside a ball from this exact value
     for w in constructor_pool() + [NESTED]:
         for e in range(-4, 5):
-            g, val = graded_element(w, e)
+            g, val = element_at_exact_value(w, e)
             assert w.value(g) == Value(val), (w, e)
-    assert graded_element(NESTED, 3) == (Fraction(27), Fraction(2))
+    assert element_at_exact_value(NESTED, 3) == (Fraction(27), Fraction(2))
 
 
 class _Bare(QuasiValuation):

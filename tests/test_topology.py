@@ -52,7 +52,7 @@ def test_a_ball_converts_its_center_once(monkeypatch):
         converted.append(x)
         return field_triple(x, d)
 
-    for module in (qval.triples, qval.batch, qval.topology, qval.sampling):
+    for module in (qval.triples, qval.batch, qval.topology):
         monkeypatch.setattr(module, "field_triple", recording)
     center = QuadElem(Fraction(1, 3), 2, 2)
     ball = Ball(extensions_of(7, 2)[0], center, Fraction(1, 2), strict=False)
@@ -336,11 +336,11 @@ def test_ring_value_equivalence_reports_ring_disagreement():
     assert not report.passed
 
 
-def _reference_ring_value_equivalence(w1, w2, samples, seed=None):
+def _reference_ring_value_equivalence(w1, w2, samples):
     """ring_value_equivalence as one scalar value() and one Ball.contains per
     sample, threshold and center: the per-alpha loop the matrices replace."""
     alpha_grid = range(-5, 6)
-    report = PropertyReport(lemma="ring-value-equivalence", seed=seed)
+    report = PropertyReport(lemma="ring-value-equivalence")
     p1, p2 = w1.extended_prime, w2.extended_prime
     report.record()
     if p1 is None or p2 is None or p1 != p2:
@@ -390,8 +390,8 @@ def _reference_ring_value_equivalence(w1, w2, samples, seed=None):
 
 
 def _reports_agree(w1, w2, samples):
-    report = ring_value_equivalence(w1, w2, samples, seed=5)
-    assert report.to_dict() == _reference_ring_value_equivalence(w1, w2, samples, seed=5).to_dict()
+    report = ring_value_equivalence(w1, w2, samples)
+    assert report.to_dict() == _reference_ring_value_equivalence(w1, w2, samples).to_dict()
     return report
 
 
