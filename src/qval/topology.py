@@ -34,6 +34,7 @@ import numpy as np
 
 from .batch import clears, difference, gauge_matrix
 from .errors import DomainError, PropertyViolation
+from .quadratic import QuadElem
 from .report import PropertyReport
 from .triples import (extended_prime_of, field_element, field_triple, reduced,
                       require_extended_prime)
@@ -48,8 +49,9 @@ class Ball:
     ``strict`` selects membership w(y−center) > bound; otherwise ≥ bound.
     The center always belongs to its own ball, since w(0) = ∞ beats any
     bound; and the strict ball is contained in the closed ball of the
-    same center and bound.  The center is converted into w's field once:
-    ``center`` is the element, and its triple is what membership reads.
+    same center and bound.  The center enters w's field once: ``center``
+    is the element (kept as given when it already is one: a Fraction over
+    Q, a QuadElem of Q(√d)), and its triple is what membership reads.
     """
 
     qv: object
@@ -59,10 +61,11 @@ class Ball:
     _center_triple: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        d = self.qv.d
-        triple = field_triple(self.center, d)
+        c, d = self.center, self.qv.d
+        triple = field_triple(c, d)
         object.__setattr__(self, "_center_triple", triple)
-        object.__setattr__(self, "center", field_element(triple, d))
+        if not (type(c) is Fraction if d is None else isinstance(c, QuadElem) and c.d == d):
+            object.__setattr__(self, "center", field_element(triple, d))
         object.__setattr__(self, "bound", Fraction(self.bound))
 
     def gauge(self, y) -> Value:

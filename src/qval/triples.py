@@ -24,15 +24,19 @@ checks of the triples it forms.  An integer a constructor forms beyond its
 input (a norm, A + B·seed, a rescaled value) goes through ``formed``, which
 moves just those operands to Python ints where the result could reach it.
 
-On int64 arrays ``multiplicity`` divides nothing (the lowest set bit at
-p = 2, a multiply by p⁻¹ mod 2^64 at odd p); on dtype=object arrays it
-divides only the entries still divisible.  ``least_multiplicity`` is the
-one joint sweep of two arrays: it gives m = min(v_p(x), v_p(y)) and which
-of the two is still divisible at m, all a ramified value or an odd-p
-content reads.
+On int64 arrays ``multiplicity`` runs one of three kernels: at an odd p
+within ``_RESIDUE_SPAN``, one floor division by p^k and one residue-table
+lookup per k digits, where p^k is the largest power of p within the span;
+at an odd p past it, the inverse-multiply sweep, one multiply per power
+of p; at p = 2, the lowest set bit.  On dtype=object arrays it divides only
+the entries still divisible.  ``least_multiplicity`` gives m = min(v_p(x),
+v_p(y)) and which of the two is still divisible at m, all a ramified value
+reads: at p = 2 from the lowest set bit of x | y, elsewhere from two
+multiplicities.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import index
 
@@ -46,6 +50,9 @@ from .values import INFINITY, Value
 INF = 1 << 40
 # int64 arrays carry only integers below this, so one more sum cannot overflow
 INT64_LIMIT = 1 << 62
+# int64 multiplicities at an odd p read p^k digits per lookup for the largest
+# p^k within this span (see ``multiplicity``)
+_RESIDUE_SPAN = 4096
 
 
 def field_triple(x, d: int | None) -> tuple[int, int, int]:
@@ -137,23 +144,63 @@ def require_extended_prime(w) -> int:
     return p
 
 
+@lru_cache(maxsize=16)
+def _residue_table(p: int):
+    """(M, t) for an odd prime p ≤ _RESIDUE_SPAN: M = p^k for the largest k with
+    p^k ≤ _RESIDUE_SPAN, and t[r] = min(v_p(r), k) for 0 ≤ r < M (t[0] = k), as a
+    read-only int64 array (at most _RESIDUE_SPAN entries, shared by every call at p)."""
+    m, k = p, 1
+    while m * p <= _RESIDUE_SPAN:
+        m, k = m * p, k + 1
+    t = np.zeros(m, dtype=np.int64)
+    for j in range(1, k + 1):
+        t[::p**j] += 1
+    t.flags.writeable = False
+    return m, t
+
+
 def multiplicity(x, p: int):
     """Multiplicity of the prime p in x, entrywise for arrays; 0 maps to INF.
 
-    int64 arrays divide nothing.  At p = 2 the multiplicity is the exponent
-    of the lowest set bit, x & −x, a power of two that float64 holds
-    exactly.  At odd p, with u = |x| read as uint64 and inv = p⁻¹ mod 2^64,
-    p divides u exactly when u·inv (mod 2^64) ≤ (2^64 − 1)//p, and then
-    u·inv is u/p (Granlund & Montgomery, PLDI 1994): each round is one
-    multiply and one compare on the entries still divisible.  inv and the
-    bound are uint64 scalars, since uint64 mixed with int64 promotes to
-    float64.  dtype=object arrays are swept once with %, and each later
-    round divides only the entries still divisible.  Either way the work
-    follows the total multiplicity, and x is never written to.
+    int64 arrays take one of three kernels.  At odd p ≤ _RESIDUE_SPAN, with
+    (M = p^k, t) = ``_residue_table(p)``, the floor residue r = x − ⌊x/M⌋·M
+    gives t[r] = min(v_p(x), k): r lies in [0, M), and v_p(M − s) = v_p(s)
+    for 0 < s < M, so a negative x reads as |x|.  Only entries with r = 0
+    saturate; their quotient x/M, already formed, is looked up again, and
+    the zeros among them (quotient 0) are INF.  At x = −2^63 the product
+    ⌊x/M⌋·M wraps, as int64 arrays do, and r wraps back.  At odd p past the
+    span, with u = |x| read as uint64 and inv = p⁻¹ mod 2^64, p divides u
+    exactly when u·inv (mod 2^64) ≤ (2^64 − 1)//p, and then u·inv is u/p
+    (Granlund & Montgomery, PLDI 1994): one multiply and one compare per
+    round on the entries still divisible; inv and the bound are uint64
+    scalars, since uint64 mixed with int64 (or, under numpy 1.x, with a
+    Python int) promotes to float64.  At p = 2 the multiplicity is the
+    exponent of the lowest set bit, x & −x, a power of two that float64
+    holds exactly.  dtype=object arrays are swept once with %, and each
+    later round divides only the entries still divisible.  x is never
+    written to.
     """
     if not isinstance(x, np.ndarray):
         return int_valuation(p, x) if x else INF
     flat = x.ravel()
+    if x.dtype != object and 2 < p <= _RESIDUE_SPAN:
+        m, t = _residue_table(p)
+        q = flat // m
+        r = flat - q * m
+        v = t.take(r)
+        at = (r == 0).nonzero()[0]
+        if at.size:
+            cur = q.take(at)
+            zero = cur == 0  # x = 0; any other saturated x has |x| ≥ M
+            v[at[zero]] = INF
+            at, cur = at[~zero], cur[~zero]
+            while at.size:
+                q = cur // m
+                r = cur - q * m
+                v[at] += t.take(r)
+                still = r == 0
+                at, cur = at[still], q[still]
+        return v.reshape(x.shape)
     zero = flat == 0
     if x.dtype == object:
         v = np.zeros(flat.shape, dtype=x.dtype)
@@ -187,45 +234,22 @@ def least_multiplicity(x, y, p: int):
     multiplicity(x, p) > m, that is, whether x is still divisible at m (0 always is).
 
     At p = 2, on int64 arrays and Python ints, m is the exponent of the lowest
-    set bit lb of x | y, and x & lb is 0 just where x is still divisible.  At
-    odd p on int64 one sweep runs ``multiplicity``'s test on both, an entry
-    leaves it as soon as either is no longer divisible, and the test at its
-    exit gives the two flags.  Otherwise the flags compare two multiplicities.
+    set bit lb of x | y, and x & lb is 0 just where x is still divisible.
+    Otherwise the flags compare two multiplicities.
     """
-    if not isinstance(x, np.ndarray) and p == 2:
-        either = x | y
-        lb = either & -either
-        if not lb:
-            return INF, False, False
-        return int(lb).bit_length() - 1, not x & lb, not y & lb
-    if not isinstance(x, np.ndarray) or x.dtype == object:
+    if p != 2 or isinstance(x, np.ndarray) and x.dtype == object:
         vx, vy = multiplicity(x, p), multiplicity(y, p)
         m = minimum(vx, vy)
         return m, vx > m, vy > m
-    fx, fy = x.ravel(), y.ravel()
-    if p == 2:
-        either = fx | fy
-        lb = either & -either
-        v = np.frexp(lb)[1].astype(np.int64) - 1
-        x_past, y_past, zero = (fx & lb) == 0, (fy & lb) == 0, lb == 0
-    else:
-        inv, limit = np.uint64(pow(p, -1, 1 << 64)), np.uint64((2**64 - 1) // p)
-        zero = (fx == 0) & (fy == 0)
-        cx, cy = (np.abs(f).view(np.uint64) * inv for f in (fx, fy))
-        x_past, y_past = cx <= limit, cy <= limit
-        at = (~zero & x_past & y_past).nonzero()[0]
-        cx, cy = cx[at], cy[at]
-        v = np.zeros(fx.shape, dtype=np.int64)
-        while at.size:
-            v[at] += 1
-            cx *= inv
-            cy *= inv
-            dx, dy = cx <= limit, cy <= limit
-            x_past[at], y_past[at] = dx, dy
-            still = dx & dy
-            at, cx, cy = at[still], cx[still], cy[still]
-    v[zero] = INF
-    return v.reshape(x.shape), x_past.reshape(x.shape), y_past.reshape(x.shape)
+    either = x | y
+    lb = either & -either
+    if not isinstance(x, np.ndarray):
+        if not lb:
+            return INF, False, False
+        return int(lb).bit_length() - 1, not x & lb, not y & lb
+    v = np.frexp(lb)[1].astype(np.int64) - 1
+    v[lb == 0] = INF
+    return v, (x & lb) == 0, (y & lb) == 0
 
 
 def minimum(x, y):

@@ -25,7 +25,7 @@ from .errors import DomainError
 from .primes import is_prime, require_prime, sqrt_mod_prime
 from .quadratic import validate_discriminant
 from .triples import (QuasiValuation, clamp_inf, field_triple, formed, least_multiplicity,
-                      multiplicity, norm_form, patch)
+                      minimum, multiplicity, norm_form, patch)
 from .values import Value
 
 def v_p(p: int, x) -> Value:
@@ -235,7 +235,10 @@ def content_value(p: int, a, b, q):
     """
     # int64 entries are below INT64_LIMIT, so A − B and 2B fit; at p = 2 the least
     # multiplicity of the two is the lowest set bit of their union
-    v = multiplicity((a - b) | (2 * b), 2) if p == 2 else least_multiplicity(a, b, p)[0]
+    if p == 2:
+        v = multiplicity((a - b) | (2 * b), 2)
+    else:
+        v = minimum(multiplicity(a, p), multiplicity(b, p))
     return clamp_inf(v - multiplicity(q, p), (a == 0) & (b == 0))
 
 

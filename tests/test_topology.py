@@ -63,6 +63,19 @@ def test_a_ball_converts_its_center_once(monkeypatch):
     assert [x for x in converted if x == center] == [center]
 
 
+def test_a_ball_keeps_a_center_already_in_its_field():
+    w_quad = extensions_of(7, 2)[0]
+    for w, center in ((V2, Fraction(1, 3)), (w_quad, QuadElem(Fraction(1, 3), 2, 2))):
+        assert Ball(w, center, 1).center is center
+    # an int, a rational QuadElem on Q, and a rational entering Q(√d) are converted
+    for w, center, want in ((V2, 5, Fraction(5)),
+                            (V2, QuadElem(Fraction(1, 3), 0, 2), Fraction(1, 3)),
+                            (w_quad, Fraction(1, 3), QuadElem(Fraction(1, 3), 0, 2))):
+        ball = Ball(w, center, 1)
+        assert ball.center == want and type(ball.center) is type(want)
+        assert ball.center is not center
+
+
 def test_center_always_inside():
     for strict in (True, False):
         ball = Ball(V2, Fraction(7, 3), Fraction(100), strict=strict)

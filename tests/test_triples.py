@@ -4,8 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qval.triples
 from qval.primes import int_valuation
-from qval.triples import INF, least_multiplicity, multiplicity
+from qval.qvspec import parse_qv
+from qval.triples import INF, field_triple, least_multiplicity, multiplicity
 
 INT64_LIMIT = 1 << 62
 
@@ -188,3 +190,37 @@ def test_the_joint_sweep_reports_which_coordinate_passes_the_least(case):
     p, x, y = case
     _check_joint_sweep(p, x, y)
     _check_joint_sweep(p, y, x)
+
+
+# k is the table's digits per lookup (p^k ≤ 4096); 4093 is the largest prime
+# with a table, 4099 the first past it, and 2^64 + 13 does not fit uint64
+TABLE_EDGE_PRIMES = ((3, 7), (61, 2), (67, 1), (4093, 1), (4099, 1), (2**64 + 13, 1))
+
+
+def test_int64_kernel_across_a_table_saturation():
+    for p, k in TABLE_EDGE_PRIMES:
+        entries = [0, 1, -1, 2**63 - 1, -(2**63)]
+        for j in (k, k + 1, 2 * k, 2 * k + 1, 3 * k):
+            for u in (1, 2, p - 1, p + 1):
+                if u * p**j < 2**63:
+                    entries += [u * p**j, -u * p**j, u * p**j - 1, u * p**j + 1]
+        x = np.array(entries, dtype=np.int64)
+        v = multiplicity(x, p)
+        assert v.dtype == np.int64
+        assert v.tolist() == [int_valuation(p, e) if e else INF for e in entries], p
+        assert np.array_equal(v.reshape(-1, 1), multiplicity(x.reshape(-1, 1), p))
+
+
+def test_the_residue_table_is_read_only_and_bounded():
+    for p, k in TABLE_EDGE_PRIMES[:4]:
+        m, t = qval.triples._residue_table(p)
+        assert m == p**k and t.shape == (m,) and t.dtype == np.int64
+        assert not t.flags.writeable
+        assert t.tolist() == [k] + [min(int_valuation(p, r), k) for r in range(1, m)]
+    assert qval.triples._residue_table.cache_info().maxsize is not None
+
+
+def test_a_float_enters_as_its_binary_value():
+    assert field_triple(0.1, None) == (3602879701896397, 0, 2**55)
+    assert parse_qv("vp:2").value(0.1) == -55
+    assert parse_qv("vp:5").value(0.2) == 0
