@@ -22,14 +22,11 @@ The arithmetic stays exact.  A worst-case magnitude check with unbounded
 Python ints, on the triples formed here, picks int64 arrays when none of
 them can reach ``INT64_LIMIT`` and dtype=object arrays of Python ints
 otherwise.  What a constructor forms from those triples it sizes itself
-(see ``triples.formed``).  On int64 arrays the p-adic
-multiplicity under every ``triple_value`` is one residue-table lookup per
-p^k digits at an odd p ≤ 4096 (p^k ≤ 4096), an inverse multiply per power
-of p at a larger odd p, and the lowest set bit at p = 2 (see
-``triples.multiplicity``); dtype=object arrays divide Python ints.  Values
-come back as integers scaled by the constructor's value denominator, with
-the sentinel INF for ∞; callers take ∞ from masks of zero inputs, never
-from the sentinel.
+(see ``triples.formed``).  Every ``triple_value`` reads p-adic
+multiplicities through ``triples.multiplicity``, whose docstring gives its
+int64 and dtype=object paths.  Values come back as integers scaled by the
+constructor's value denominator, with the sentinel INF for ∞; callers take
+∞ from masks of zero inputs, never from the sentinel.
 """
 
 from functools import lru_cache

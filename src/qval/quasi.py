@@ -179,8 +179,7 @@ def n_adic(n: int, x) -> Value:
 def n_adic_decomposition(n: int, x) -> int:
     """Oracle for ``n_adic``: search e over a window wide enough to contain
     every possible exponent and check the decomposition conditions directly."""
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"n-adic base must be an integer >= 2, got {n!r}")
+    NAdic(n)  # refuses a base that is not an integer >= 2
     c, _, den = field_triple(x, None)
     if c == 0:
         raise DomainError("decomposition is defined for nonzero x")

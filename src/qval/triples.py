@@ -24,15 +24,8 @@ checks of the triples it forms.  An integer a constructor forms beyond its
 input (a norm, A + B·seed, a rescaled value) goes through ``formed``, which
 moves just those operands to Python ints where the result could reach it.
 
-On int64 arrays ``multiplicity`` runs one of three kernels: at an odd p
-within ``_RESIDUE_SPAN``, one floor division by p^k and one residue-table
-lookup per k digits, where p^k is the largest power of p within the span;
-at an odd p past it, the inverse-multiply sweep, one multiply per power
-of p; at p = 2, the lowest set bit.  On dtype=object arrays it divides only
-the entries still divisible.  ``least_multiplicity`` gives m = min(v_p(x),
-v_p(y)) and which of the two is still divisible at m, all a ramified value
-reads: at p = 2 from the lowest set bit of x | y, elsewhere from two
-multiplicities.
+Every constructor reads p-adic multiplicities through ``multiplicity``,
+whose docstring describes its int64 kernels.
 """
 
 from fractions import Fraction
@@ -162,23 +155,27 @@ def _residue_table(p: int):
 def multiplicity(x, p: int):
     """Multiplicity of the prime p in x, entrywise for arrays; 0 maps to INF.
 
-    int64 arrays take one of three kernels.  At odd p ≤ _RESIDUE_SPAN, with
-    (M = p^k, t) = ``_residue_table(p)``, the floor residue r = x − ⌊x/M⌋·M
-    gives t[r] = min(v_p(x), k): r lies in [0, M), and v_p(M − s) = v_p(s)
-    for 0 < s < M, so a negative x reads as |x|.  Only entries with r = 0
-    saturate; their quotient x/M, already formed, is looked up again, and
-    the zeros among them (quotient 0) are INF.  At x = −2^63 the product
-    ⌊x/M⌋·M wraps, as int64 arrays do, and r wraps back.  At odd p past the
-    span, with u = |x| read as uint64 and inv = p⁻¹ mod 2^64, p divides u
-    exactly when u·inv (mod 2^64) ≤ (2^64 − 1)//p, and then u·inv is u/p
-    (Granlund & Montgomery, PLDI 1994): one multiply and one compare per
-    round on the entries still divisible; inv and the bound are uint64
-    scalars, since uint64 mixed with int64 (or, under numpy 1.x, with a
-    Python int) promotes to float64.  At p = 2 the multiplicity is the
-    exponent of the lowest set bit, x & −x, a power of two that float64
-    holds exactly.  dtype=object arrays are swept once with %, and each
-    later round divides only the entries still divisible.  x is never
-    written to.
+    The one p-adic kernel every constructor reads.  A Python int goes to
+    ``int_valuation``; an array takes one path by dtype and p, and is never
+    written to:
+
+    * int64, odd p ≤ _RESIDUE_SPAN: with (M = p^k, t) = ``_residue_table(p)``,
+      the floor residue r = x − ⌊x/M⌋·M gives t[r] = min(v_p(x), k): r lies
+      in [0, M), and v_p(M − s) = v_p(s) for 0 < s < M, so a negative x
+      reads as |x|.  Only entries with r = 0 saturate; their quotient x/M,
+      already formed, is looked up again, and the zeros among them
+      (quotient 0) are INF.  At x = −2^63 the product ⌊x/M⌋·M wraps, as
+      int64 arrays do, and r wraps back.
+    * int64, odd p past the span: with u = |x| read as uint64 and
+      inv = p⁻¹ mod 2^64, p divides u exactly when u·inv (mod 2^64) ≤
+      (2^64 − 1)//p, and then u·inv is u/p (Granlund & Montgomery, PLDI
+      1994): one multiply and one compare per round on the entries still
+      divisible.  inv and the bound are uint64 scalars, since uint64 mixed
+      with int64 (or, under numpy 1.x, with a Python int) promotes to float64.
+    * int64, p = 2: the exponent of the lowest set bit, x & −x, a power of
+      two that float64 holds exactly.
+    * dtype=object: one sweep with %, and each later round divides only the
+      entries still divisible.
     """
     if not isinstance(x, np.ndarray):
         return int_valuation(p, x) if x else INF
@@ -226,30 +223,6 @@ def multiplicity(x, p: int):
             at, cur = at[still], cur[still]
     v[zero] = INF
     return v.reshape(x.shape)
-
-
-def least_multiplicity(x, y, p: int):
-    """(m, x_past, y_past) for same-shape x and y: m = min(multiplicity(x, p),
-    multiplicity(y, p)), INF where both are 0, and x_past (y_past) whether
-    multiplicity(x, p) > m, that is, whether x is still divisible at m (0 always is).
-
-    At p = 2, on int64 arrays and Python ints, m is the exponent of the lowest
-    set bit lb of x | y, and x & lb is 0 just where x is still divisible.
-    Otherwise the flags compare two multiplicities.
-    """
-    if p != 2 or isinstance(x, np.ndarray) and x.dtype == object:
-        vx, vy = multiplicity(x, p), multiplicity(y, p)
-        m = minimum(vx, vy)
-        return m, vx > m, vy > m
-    either = x | y
-    lb = either & -either
-    if not isinstance(x, np.ndarray):
-        if not lb:
-            return INF, False, False
-        return int(lb).bit_length() - 1, not x & lb, not y & lb
-    v = np.frexp(lb)[1].astype(np.int64) - 1
-    v[lb == 0] = INF
-    return v, (x & lb) == 0, (y & lb) == 0
 
 
 def minimum(x, y):

@@ -24,8 +24,8 @@ from functools import lru_cache
 from .errors import DomainError
 from .primes import is_prime, require_prime, sqrt_mod_prime
 from .quadratic import validate_discriminant
-from .triples import (QuasiValuation, clamp_inf, field_triple, formed, least_multiplicity,
-                      minimum, multiplicity, norm_form, patch)
+from .triples import (QuasiValuation, clamp_inf, field_triple, formed, minimum, multiplicity,
+                      norm_form, patch)
 from .values import Value
 
 def v_p(p: int, x) -> Value:
@@ -172,17 +172,21 @@ class ExtendedValuation(QuasiValuation):
         return self._ramified_value(a, b, q)
 
     def _ramified_value(self, a, b, q):
-        """v_p(A² − d·B²) − 2·v_p(Q), w(x) in half-units, from a = v_p(A), b = v_p(B).
+        """v_p(A² − d·B²) − 2·v_p(Q), w(x) in half-units, from a = v_p(A) and b = v_p(B).
 
-        With m = min(a, b): where v_p(d) = 1 (odd p, or d ≡ 2 mod 4 at p = 2;
-        d is squarefree) v_p(A²) = 2a is even and v_p(d·B²) = 2b + 1 odd, so
-        they never tie and v_p(A² − d·B²) = 2m + [a > m].  At p = 2 with
-        d ≡ 3 mod 4, 2a and 2b tie only where a = b, and then the value is
-        2m + 1, since A′² − d·B′² ≡ 1 − d ≡ 2 (mod 4) for odd A′ and B′.
+        Where v_p(d) = 1 (odd p, or d ≡ 2 mod 4 at p = 2; d is squarefree),
+        v_p(A²) = 2a is even and v_p(d·B²) = 2b + 1 odd: they never tie, and
+        v_p(A² − d·B²) = min(2a, 2b + 1).  At p = 2 with d ≡ 3 mod 4 it is
+        2·min(a, b) + [a = b], since A′² − d·B′² ≡ 1 − d ≡ 2 (mod 4) for odd
+        A′ and B′.  A zero coordinate reads INF, and 2·INF + 1 stays within int64.
         """
-        m, a_past, b_past = least_multiplicity(a, b, self.p)
-        odd = a_past == b_past if self.p == 2 and self.d % 4 == 3 else a_past
-        return clamp_inf(2 * m + odd - 2 * multiplicity(q, self.p), (a == 0) & (b == 0))
+        p = self.p
+        va, vb = multiplicity(a, p), multiplicity(b, p)
+        if p == 2 and self.d % 4 == 3:
+            v = 2 * minimum(va, vb) + (va == vb)
+        else:
+            v = minimum(2 * va, 2 * vb + 1)
+        return clamp_inf(v - 2 * multiplicity(q, p), (a == 0) & (b == 0))
 
     def _split_value(self, a, b, q):
         """v_p(A + B·s) − v_p(Q), exactly, for the branch's p-adic root s of d.

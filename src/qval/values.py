@@ -49,13 +49,6 @@ class Value:
     def floor(self) -> int:
         return math.floor(self.finite_part)
 
-    def scaled(self, factor: Fraction) -> "Value":
-        if factor <= 0:
-            raise ValueError("scaling factor must be positive")
-        if self._q is None:
-            return INFINITY
-        return Value(self._q * factor)
-
     def __add__(self, other) -> "Value":
         other = _coerce(other)
         if other is NotImplemented:

@@ -342,7 +342,6 @@ def test_ramified_constructors_stay_on_int64_on_wide_inputs(monkeypatch, d):
     for module in (kernels, qval.valuations):
         monkeypatch.setattr(module, "multiplicity", recording(kernels.multiplicity))
         monkeypatch.setattr(module, "formed", forming)
-    monkeypatch.setattr(qval.valuations, "least_multiplicity", recording(kernels.least_multiplicity))
     monkeypatch.setattr(qval.valuations, "norm_form", forming)
     assert batch.pairwise_axiom_check(w, _wide_samples(d))[1] == []
     assert seen and set(seen) == {np.dtype(np.int64)}

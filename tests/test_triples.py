@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import qval.triples
 from qval.primes import int_valuation
 from qval.qvspec import parse_qv
-from qval.triples import INF, field_triple, least_multiplicity, multiplicity
+from qval.triples import INF, field_triple, multiplicity
 
 INT64_LIMIT = 1 << 62
 
@@ -52,14 +52,9 @@ def test_multiplicity_at_the_int64_limit_and_beyond():
     big = np.array([2**64 * 3, -(11**40), 2**65 + 3], dtype=object)
     assert multiplicity(big, 2).tolist() == [64, 0, 0]
     assert multiplicity(big, 11).tolist() == [0, 40, 0]
-    # the joint sweep on Python ints at p = 2: zeros, negatives, and past 2^64
+    # Python ints at p = 2: zeros, negatives, and past 2^64
     edges = (0, 1, -1, 2, -2, 12, -48, 2**63, -(2**64), 2**64 * 3, -(2**70) * 5, 2**65 + 3)
-    for e in edges:
-        for f in edges:
-            ve, vf = (int_valuation(2, c) if c else INF for c in (e, f))
-            m = min(ve, vf)
-            want = (INF, False, False) if m == INF else (m, ve > m, vf > m)
-            assert least_multiplicity(e, f, 2) == want, (e, f)
+    assert [multiplicity(e, 2) for e in edges] == [INF, 0, 0, 1, 1, 2, 4, 63, 64, 64, 70, 0]
 
 
 def _dividing_multiplicity(x, p):
@@ -129,67 +124,6 @@ def test_int64_kernel_at_the_edges():
     strided = np.arange(-60, 60, dtype=np.int64).reshape(6, 20)[1::2, ::3]
     for p in (2, 3, 5):
         assert np.array_equal(multiplicity(strided, p), _dividing_multiplicity(strided, p))
-
-
-def _check_joint_sweep(p, x, y):
-    """least_multiplicity(x, y, p) against two per-array multiplicity counts: m is their
-    min, INF where both are 0, and each flag says that coordinate's count passes m;
-    x and y are not written to."""
-    vx, vy = ([int_valuation(p, e) if e else INF for e in c.ravel().tolist()] for c in (x, y))
-    before = x.copy(), y.copy()
-    m, x_past, y_past = least_multiplicity(x, y, p)
-    assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
-    assert m.shape == x_past.shape == y_past.shape == x.shape and m.dtype == x.dtype
-    assert m.ravel().tolist() == list(map(min, vx, vy))
-    for e, f, past_e, past_f, least in zip(vx, vy, x_past.ravel().tolist(),
-                                           y_past.ravel().tolist(), m.ravel().tolist()):
-        if least != INF:  # both 0: the flags are not read
-            assert (past_e, past_f) == (e > least, f > least)
-    for e, f, least, past_e, past_f in zip(x.ravel().tolist(), y.ravel().tolist(),
-                                           m.ravel().tolist(), vx, vy):
-        scalar = least_multiplicity(e, f, p)
-        assert scalar[0] == least
-        if least != INF:
-            assert scalar[1:] == (past_e > least, past_f > least)
-
-
-@settings(max_examples=200, deadline=None)
-@given(int64_arrays(), st.data())
-def test_least_multiplicity_is_the_lesser_of_the_two(case, data):
-    # each entry of y is x's own (equal multiplicities), 0 (where x may be 0
-    # too) or any integer below 2^62; on int64, dtype=object and Python ints
-    p, x = case
-    other = st.integers(-INT64_LIMIT + 1, INT64_LIMIT - 1)
-    y = np.array([data.draw(st.one_of(st.just(e), st.just(0), other)) for e in x.ravel().tolist()],
-                 dtype=np.int64).reshape(x.shape)
-    for dtype in (np.int64, object):
-        _check_joint_sweep(p, x.astype(dtype), y.astype(dtype))
-
-
-@st.composite
-def deep_pairs(draw):
-    """(p, x, y): same-shape int64 or dtype=object arrays whose entries are 0,
-    any integer, or ±u·p^k with k up to 60 (up to where u·p^k stays below
-    2^62 on int64), so the sweep runs deep and either coordinate may be 0."""
-    p = draw(st.sampled_from((2, 3, 5, 7, 11, 65537)))
-    dtype = draw(st.sampled_from((np.int64, object)))
-    top = 60 if dtype is object else next(k for k in range(61) if (2 * p + 3) * p ** (k + 1) >= INT64_LIMIT)
-    limit = INT64_LIMIT if dtype is np.int64 else 1 << 400
-    power = st.builds(lambda s, u, k: s * u * p**k, st.sampled_from((1, -1)),
-                      st.integers(1, 2 * p + 3), st.integers(0, top))
-    entry = st.one_of(st.just(0), power, st.integers(-limit + 1, limit - 1))
-    n = draw(st.integers(1, 12))
-    x, y = (draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(2))
-    shape = draw(st.sampled_from(((n,), (1, n))))
-    return p, *(np.array(c, dtype=dtype).reshape(shape) for c in (x, y))
-
-
-@settings(max_examples=100, deadline=None)
-@given(deep_pairs())
-def test_the_joint_sweep_reports_which_coordinate_passes_the_least(case):
-    p, x, y = case
-    _check_joint_sweep(p, x, y)
-    _check_joint_sweep(p, y, x)
 
 
 # k is the table's digits per lookup (p^k ≤ 4096); 4093 is the largest prime

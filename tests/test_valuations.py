@@ -625,6 +625,11 @@ def ramified_wide_cases(draw):
 @given(ramified_wide_cases())
 @example((2, 3, [(3 * 2**60, 2**60, 1), (2**61, 3 * 2**60, 1), (INT64_LIMIT - 1, 1, 3)],
           INT64_LIMIT - 1))
+# INF enters 2a or 2b + 1 where A or B is 0, and A = B ties at the int64 edge
+@example((2, 2, [(0, INT64_LIMIT - 1, 1), (0, 1 - INT64_LIMIT, 4), (2**61, 0, 3), (2**61, 2**61, 2)],
+          INT64_LIMIT - 1))
+@example((2, 3, [(0, INT64_LIMIT - 1, 1), (0, 1 - INT64_LIMIT, 4), (2**61, 0, 3), (2**61, 2**61, 2)],
+          INT64_LIMIT - 1))
 @example((7, -7, [(7**70, 7**69, 49), (0, 3 * 7**100, 1), (5 * 7**80, 0, 7)], 1 << 200))
 def test_ramified_closed_form_equals_the_norm_past_int64(case):
     p, d, triples, top = case

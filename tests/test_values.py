@@ -35,13 +35,6 @@ def test_subtract_finite():
         Value(1) - INFINITY
 
 
-def test_scaling():
-    assert Value(3).scaled(Fraction(1, 2)) == Value(Fraction(3, 2))
-    assert INFINITY.scaled(Fraction(7)) == INFINITY
-    with pytest.raises(ValueError):
-        Value(1).scaled(Fraction(-1))
-
-
 def test_floor_and_parts():
     assert Value(Fraction(7, 2)).floor() == 3
     assert Value(Fraction(-1, 2)).floor() == -1
