@@ -23,10 +23,10 @@ Python ints, on the triples formed here, picks int64 arrays when none of
 them can reach ``INT64_LIMIT`` and dtype=object arrays of Python ints
 otherwise.  What a constructor forms from those triples it sizes itself
 (see ``triples.formed``).  Every ``triple_value`` reads p-adic
-multiplicities through ``triples.multiplicity``, whose docstring gives its
-int64 and dtype=object paths.  Values come back as integers scaled by the
-constructor's value denominator, with the sentinel INF for ∞; callers take
-∞ from masks of zero inputs, never from the sentinel.
+multiplicities through ``triples.multiplicity``, whose one floor-residue
+loop serves every array but int64 at p = 2.  Values come back as integers
+scaled by the constructor's value denominator, with the sentinel INF for ∞;
+callers take ∞ from masks of zero inputs, never from the sentinel.
 """
 
 from functools import lru_cache

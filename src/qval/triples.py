@@ -25,7 +25,7 @@ input (a norm, A + B·seed, a rescaled value) goes through ``formed``, which
 moves just those operands to Python ints where the result could reach it.
 
 Every constructor reads p-adic multiplicities through ``multiplicity``,
-whose docstring describes its int64 kernels.
+which runs every array but int64 at p = 2 through one floor-residue loop.
 """
 
 from fractions import Fraction
@@ -43,8 +43,8 @@ from .values import INFINITY, Value
 INF = 1 << 40
 # int64 arrays carry only integers below this, so one more sum cannot overflow
 INT64_LIMIT = 1 << 62
-# int64 multiplicities at an odd p read p^k digits per lookup for the largest
-# p^k within this span (see ``multiplicity``)
+# array multiplicities read p^k digits per lookup for the largest p^k within
+# this span (see ``multiplicity``)
 _RESIDUE_SPAN = 4096
 
 
@@ -139,13 +139,17 @@ def require_extended_prime(w) -> int:
 
 @lru_cache(maxsize=16)
 def _residue_table(p: int):
-    """(M, t) for an odd prime p ≤ _RESIDUE_SPAN: M = p^k for the largest k with
-    p^k ≤ _RESIDUE_SPAN, and t[r] = min(v_p(r), k) for 0 ≤ r < M (t[0] = k), as a
-    read-only int64 array (at most _RESIDUE_SPAN entries, shared by every call at p)."""
+    """(M, t) for a prime p, t a read-only int64 array shared by every call at p.
+
+    Within the span, M = p^k for the largest k with p^k ≤ _RESIDUE_SPAN and
+    t[r] = min(v_p(r), k) for 0 ≤ r < M (t[0] = k): at most _RESIDUE_SPAN
+    entries.  Past it, M = p and t = [1, 0], read with indices clipped to 1, so
+    t[r] = min(v_p(r), 1) there too: one digit per round.
+    """
     m, k = p, 1
     while m * p <= _RESIDUE_SPAN:
         m, k = m * p, k + 1
-    t = np.zeros(m, dtype=np.int64)
+    t = np.zeros(m if p <= _RESIDUE_SPAN else 2, dtype=np.int64)
     for j in range(1, k + 1):
         t[::p**j] += 1
     t.flags.writeable = False
@@ -155,73 +159,50 @@ def _residue_table(p: int):
 def multiplicity(x, p: int):
     """Multiplicity of the prime p in x, entrywise for arrays; 0 maps to INF.
 
-    The one p-adic kernel every constructor reads.  A Python int goes to
-    ``int_valuation``; an array takes one path by dtype and p, and is never
-    written to:
+    The one p-adic kernel every constructor reads.  Each path returns x's
+    dtype and never writes to x:
 
-    * int64, odd p ≤ _RESIDUE_SPAN: with (M = p^k, t) = ``_residue_table(p)``,
-      the floor residue r = x − ⌊x/M⌋·M gives t[r] = min(v_p(x), k): r lies
-      in [0, M), and v_p(M − s) = v_p(s) for 0 < s < M, so a negative x
-      reads as |x|.  Only entries with r = 0 saturate; their quotient x/M,
-      already formed, is looked up again, and the zeros among them
-      (quotient 0) are INF.  At x = −2^63 the product ⌊x/M⌋·M wraps, as
-      int64 arrays do, and r wraps back.
-    * int64, odd p past the span: with u = |x| read as uint64 and
-      inv = p⁻¹ mod 2^64, p divides u exactly when u·inv (mod 2^64) ≤
-      (2^64 − 1)//p, and then u·inv is u/p (Granlund & Montgomery, PLDI
-      1994): one multiply and one compare per round on the entries still
-      divisible.  inv and the bound are uint64 scalars, since uint64 mixed
-      with int64 (or, under numpy 1.x, with a Python int) promotes to float64.
-    * int64, p = 2: the exponent of the lowest set bit, x & −x, a power of
-      two that float64 holds exactly.
-    * dtype=object: one sweep with %, and each later round divides only the
-      entries still divisible.
+    * a Python int goes to ``int_valuation``.
+    * an int64 array at p = 2 reads the exponent of the lowest set bit,
+      x & −x, a power of two that float64 holds exactly.
+    * every other array, int64 or dtype=object at any p, runs one loop over
+      (M, t) = ``_residue_table(p)``: the floor residue r = x − ⌊x/M⌋·M lies
+      in [0, M), v_p(M − s) = v_p(s) for 0 < s < M, so t[r] = min(v_p(x), k)
+      and a negative x reads as |x|.  Only entries with r = 0 go on, with
+      their quotient x/M; the zeros among them (quotient 0) are INF.  At
+      x = −2^63 the int64 product ⌊x/M⌋·M wraps, and r wraps back.  An int64
+      array at p > 2^63 − 1, where ⌊x/M⌋ would overflow, is INF at 0 and 0
+      elsewhere.
     """
     if not isinstance(x, np.ndarray):
         return int_valuation(p, x) if x else INF
     flat = x.ravel()
-    if x.dtype != object and 2 < p <= _RESIDUE_SPAN:
-        m, t = _residue_table(p)
-        q = flat // m
-        r = flat - q * m
-        v = t.take(r)
-        at = (r == 0).nonzero()[0]
-        if at.size:
-            cur = q.take(at)
-            zero = cur == 0  # x = 0; any other saturated x has |x| ≥ M
-            v[at[zero]] = INF
-            at, cur = at[~zero], cur[~zero]
-            while at.size:
-                q = cur // m
-                r = cur - q * m
-                v[at] += t.take(r)
-                still = r == 0
-                at, cur = at[still], q[still]
-        return v.reshape(x.shape)
-    zero = flat == 0
-    if x.dtype == object:
-        v = np.zeros(flat.shape, dtype=x.dtype)
-        at = (~zero & (flat % p == 0)).nonzero()[0]
-        cur = flat[at]  # a copy: fancy indexing never returns a view
-        while at.size:
-            cur //= p
-            v[at] += 1
-            still = cur % p == 0
-            at, cur = at[still], cur[still]
-    elif p == 2:
+    wide = x.dtype == object
+    if not wide and p == 2:
         v = np.frexp(flat & -flat)[1].astype(np.int64) - 1
-    else:
-        inv, limit = np.uint64(pow(p, -1, 1 << 64)), np.uint64((2**64 - 1) // p)
-        v = np.zeros(flat.shape, dtype=np.int64)
-        cur = np.abs(flat).view(np.uint64) * inv
-        at = (~zero & (cur <= limit)).nonzero()[0]
-        cur = cur[at]
+        v[flat == 0] = INF
+        return v.reshape(x.shape)
+    if not wide and p >= 2**63:  # no nonzero int64 entry is divisible
+        return np.where(x == 0, INF, 0)
+    m, t = _residue_table(p)
+    q = flat // m
+    r = flat - q * m
+    # a dtype=object residue passes int64 only past the span, where t has 2 entries
+    v = t.take(np.minimum(r, t.size - 1).astype(np.int64) if wide else r, mode="clip")
+    if wide:
+        v = v.astype(object)
+    at = (r == 0).nonzero()[0]
+    if at.size:
+        cur = q.take(at)
+        zero = cur == 0  # x = 0; any other saturated x has |x| ≥ M
+        v[at[zero]] = INF
+        at, cur = at[~zero], cur[~zero]
         while at.size:
-            v[at] += 1
-            cur *= inv
-            still = cur <= limit
-            at, cur = at[still], cur[still]
-    v[zero] = INF
+            q = cur // m
+            r = cur - q * m
+            v[at] += t.take(np.minimum(r, t.size - 1).astype(np.int64) if wide else r, mode="clip")
+            still = r == 0
+            at, cur = at[still], q[still]
     return v.reshape(x.shape)
 
 

@@ -127,22 +127,25 @@ def test_int64_kernel_at_the_edges():
 
 
 # k is the table's digits per lookup (p^k ≤ 4096); 4093 is the largest prime
-# with a table, 4099 the first past it, and 2^64 + 13 does not fit uint64
-TABLE_EDGE_PRIMES = ((3, 7), (61, 2), (67, 1), (4093, 1), (4099, 1), (2**64 + 13, 1))
+# with a table, 4099 the first past it, 2^63 − 25 the largest prime an int64
+# holds, and 2^63 + 29 and 2^64 + 13 are past int64
+TABLE_EDGE_PRIMES = ((3, 7), (61, 2), (67, 1), (4093, 1), (4099, 1),
+                     (2**63 - 25, 1), (2**63 + 29, 1), (2**64 + 13, 1))
 
 
 def test_int64_kernel_across_a_table_saturation():
     for p, k in TABLE_EDGE_PRIMES:
-        entries = [0, 1, -1, 2**63 - 1, -(2**63)]
+        entries, wide = [0, 1, -1, 2**63 - 1, -(2**63)], []
         for j in (k, k + 1, 2 * k, 2 * k + 1, 3 * k):
             for u in (1, 2, p - 1, p + 1):
-                if u * p**j < 2**63:
-                    entries += [u * p**j, -u * p**j, u * p**j - 1, u * p**j + 1]
-        x = np.array(entries, dtype=np.int64)
-        v = multiplicity(x, p)
-        assert v.dtype == np.int64
-        assert v.tolist() == [int_valuation(p, e) if e else INF for e in entries], p
-        assert np.array_equal(v.reshape(-1, 1), multiplicity(x.reshape(-1, 1), p))
+                near = [u * p**j, -u * p**j, u * p**j - 1, u * p**j + 1]
+                (entries if u * p**j < 2**63 else wide).extend(near)
+        # the same entries on int64 and on dtype=object, which also takes u·p^j past 2^63
+        for x in (np.array(entries, dtype=np.int64), np.array(entries + wide, dtype=object)):
+            v = multiplicity(x, p)
+            assert v.dtype == x.dtype
+            assert v.tolist() == [int_valuation(p, e) if e else INF for e in x.tolist()], p
+            assert np.array_equal(v.reshape(-1, 1), multiplicity(x.reshape(-1, 1), p))
 
 
 def test_the_residue_table_is_read_only_and_bounded():
@@ -151,6 +154,9 @@ def test_the_residue_table_is_read_only_and_bounded():
         assert m == p**k and t.shape == (m,) and t.dtype == np.int64
         assert not t.flags.writeable
         assert t.tolist() == [k] + [min(int_valuation(p, r), k) for r in range(1, m)]
+    for p, _ in TABLE_EDGE_PRIMES[4:]:  # past the span: one digit per round
+        m, t = qval.triples._residue_table(p)
+        assert m == p and t.tolist() == [1, 0] and not t.flags.writeable
     assert qval.triples._residue_table.cache_info().maxsize is not None
 
 

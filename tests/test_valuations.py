@@ -16,7 +16,6 @@ from qval.quasi import MinOf
 from qval.triples import INF, INT64_LIMIT, clamp_inf, minimum, multiplicity
 from qval.valuations import (
     ExtendedValuation,
-    PAdicValuation,
     SplitKind,
     classify,
     extensions_of,
