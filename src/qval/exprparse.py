@@ -7,117 +7,103 @@ Grammar (usual precedence, unary minus binding tightest):
     unary  := "-" unary | atom
     atom   := INTEGER | "sqrt" "(" expr ")" | "(" expr ")"
 
-Everything evaluates exactly to a Fraction, or to a QuadElem once a sqrt
-appears; "3/4" is just integer division and lands on Fraction(3, 4).  All
-sqrt arguments inside one expression must agree (one quadratic field at a
-time), and each must be a squarefree integer other than 0 and 1.  Integer
-literals have at most MAX_DIGITS digits, and parentheses and sqrt nest at
-most MAX_NESTING deep, so hostile input fails with a ParseError instead of
+One recursive-descent class, _Parser, first splits the whole text into
+(text, position) tokens, so a bad character or an overlong literal is
+reported before anything is evaluated; then it evaluates by descent, with
+one operator loop serving both expr and term.  Everything evaluates
+exactly to a Fraction, or to a QuadElem once a sqrt appears; "3/4" is
+just integer division and lands on Fraction(3, 4).  All sqrt arguments
+inside one expression must agree (one quadratic field at a time), and
+each must be a squarefree integer other than 0 and 1.  Integer literals
+have at most MAX_DIGITS digits, and parentheses and sqrt nest at most
+MAX_NESTING deep, so hostile input fails with a ParseError instead of
 Python's int-string limit or its recursion limit.
 """
 
+import operator
 import re
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
 from .quadratic import QuadElem
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(sqrt)|([+\-*/()])|(\S))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|(sqrt|[+\-*/()])|(\S))")
 _EXPONENT = re.compile(r"[eE]([+-]?[\d_]+)")
+# the binary operators of expr (level 0) and of term (level 1)
+_LEVELS = ({"+": operator.add, "-": operator.sub}, {"*": operator.mul, "/": operator.truediv})
 
 MAX_DIGITS = 4000  # below Python's default int-string limit of 4300
 _DIGITS_BOUND = 10**MAX_DIGITS
 MAX_NESTING = 100  # a few interpreter frames per level, far below the recursion limit
 
 
-class _Tokenizer:
+class _Parser:
+    """Tokens of the whole text, each (text, position) and ending in ("", len(text)),
+    read by recursive descent; tracks the nesting depth and the single sqrt argument."""
+
     def __init__(self, text: str):
-        self.tokens: list[tuple[str, str, int]] = []
-        append = self.tokens.append
+        self.tokens: list[tuple[str, int]] = []
         for match in _TOKEN.finditer(text):
             group = match.lastindex  # exactly one alternative matched
-            token = match[group]
-            pos = match.start(group)
-            if group == 1:
-                if len(token) > MAX_DIGITS:
-                    raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", pos)
-                append(("int", token, pos))
-            elif group == 2:
-                append(("sqrt", token, pos))
-            elif group == 3:
-                append(("op", token, pos))
-            else:
+            token, pos = match[group], match.start(group)
+            if group == 3:
                 raise ParseError(f"unexpected character {token!r}", pos)
-        append(("end", "", len(text)))
+            if group == 1 and len(token) > MAX_DIGITS:
+                raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", pos)
+            self.tokens.append((token, pos))
+        self.tokens.append(("", len(text)))
         self.index = 0
+        self.depth = 0
+        self.d: int | None = None
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def next(self) -> tuple[str, str, int]:
+    def next(self) -> tuple[str, int]:
         token = self.tokens[self.index]
         self.index += 1
         return token
 
-    def expect(self, value: str) -> tuple[str, str, int]:
-        kind, text, pos = self.peek()
+    def expect(self, value: str) -> None:
+        text, pos = self.next()
         if text != value:
-            shown = text if kind != "end" else "end of input"
-            raise ParseError(f"expected {value!r}, found {shown}", pos)
-        return self.next()
-
-
-class _Evaluator:
-    """Recursive-descent evaluation; tracks the single allowed sqrt argument."""
-
-    def __init__(self, text: str):
-        self.tokens = _Tokenizer(text)
-        self.d: int | None = None
-        self.depth = 0
+            raise ParseError(f"expected {value!r}, found {text or 'end of input'}", pos)
 
     def run(self):
         value = self.expr()
-        kind, text, pos = self.tokens.peek()
-        if kind != "end":
+        text, pos = self.tokens[self.index]
+        if text:
             raise ParseError(f"unexpected trailing input {text!r}", pos)
         return value
 
-    def expr(self):
-        value = self.term()
-        while self.tokens.peek()[1] in ("+", "-"):
-            _, op, pos = self.tokens.next()
-            right = self.term()
-            value = self.apply(op, value, right, pos)
-        return value
-
-    def term(self):
-        value = self.unary()
-        while self.tokens.peek()[1] in ("*", "/"):
-            _, op, pos = self.tokens.next()
-            right = self.unary()
-            value = self.apply(op, value, right, pos)
+    def expr(self, level: int = 0):
+        """A sum of terms at level 0; a term, a product of unaries, at level 1."""
+        operators = _LEVELS[level]
+        value = self.unary() if level else self.expr(1)
+        while self.tokens[self.index][0] in operators:
+            op, pos = self.next()
+            right = self.unary() if level else self.expr(1)
+            try:
+                value = operators[op](value, right)
+            except ZeroDivisionError:
+                raise ParseError("division by zero", pos) from None
         return value
 
     def unary(self):
         negate = False
-        while self.tokens.peek()[1] == "-":
-            self.tokens.next()
+        while self.tokens[self.index][0] == "-":
+            self.index += 1
             negate = not negate
         value = self.atom()
         return -value if negate else value
 
     def atom(self):
-        kind, text, pos = self.tokens.next()
-        if kind == "int":
+        text, pos = self.next()
+        if text.isdecimal():  # exactly the characters \d matches
             return Fraction(int(text))
-        if kind == "sqrt":
-            self.tokens.expect("(")
-            inner = self.nested(pos)
-            return self.make_root(inner, pos)
+        if text == "sqrt":
+            self.expect("(")
+            return self.make_root(self.nested(pos), pos)
         if text == "(":
             return self.nested(pos)
-        shown = text if kind != "end" else "end of input"
-        raise ParseError(f"expected a value, found {shown}", pos)
+        raise ParseError(f"expected a value, found {text or 'end of input'}", pos)
 
     def nested(self, pos: int):
         """The expression after an opening parenthesis, and the closing one."""
@@ -125,7 +111,7 @@ class _Evaluator:
             raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
         self.depth += 1
         value = self.expr()
-        self.tokens.expect(")")
+        self.expect(")")
         self.depth -= 1
         return value
 
@@ -145,23 +131,10 @@ class _Evaluator:
             )
         return root
 
-    def apply(self, op: str, left, right, pos: int):
-        try:
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            return left / right
-        except ZeroDivisionError:
-            raise ParseError("division by zero", pos) from None
-
 
 def parse_element(text: str) -> Fraction | QuadElem:
     """Evaluate an expression to an exact field element."""
-    evaluator = _Evaluator(text)
-    value = evaluator.run()
+    value = _Parser(text).run()
     if isinstance(value, QuadElem):
         return value
     return Fraction(value)

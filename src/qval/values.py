@@ -81,7 +81,8 @@ class Value:
     __ge__ = _compared_by_key(operator.ge)
 
     def __hash__(self) -> int:
-        return hash(self._cmp_key())
+        # a finite value hashes as the Fraction it equals, so as equal ints do
+        return hash(self._q)
 
     def __str__(self) -> str:
         return "inf" if self._q is None else str(self._q)

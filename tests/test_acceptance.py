@@ -5,7 +5,6 @@ per-criterion lines while passing).  All comparisons are exact; the only
 tolerances anywhere are the two wall-clock budgets, asserted as stated.
 """
 
-import math
 import random
 import time
 from fractions import Fraction

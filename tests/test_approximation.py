@@ -17,7 +17,7 @@ from qval.errors import DomainError
 from qval.exprparse import MAX_DIGITS
 from qval.quadratic import QuadElem
 from qval.quasi import min_extension
-from qval.valuations import extensions_of, v_p
+from qval.valuations import v_p
 from qval.values import INFINITY, Value
 
 

@@ -95,6 +95,18 @@ def test_size_limits():
     # a second, different sqrt argument: the position is its "sqrt" token
     ("1 + sqrt(2) * sqrt(3)",
      "mixed sqrt arguments: sqrt(2) and sqrt(3) in one expression", 14),
+    # a value or a closing parenthesis missing at the end of input
+    ("1 + ", "expected a value, found end of input", 4),
+    ("(1 + 2", "expected ')', found end of input", 6),
+    # division by zero: the position is the "/" token
+    ("1/(2-2)", "division by zero", 1),
+    ("1 2", "unexpected trailing input '2'", 2),
+    # sqrt argument errors: the position is the "sqrt" token
+    ("sqrt(1/2)", "sqrt argument must be an integer", 0),
+    ("1 + sqrt(1)", "d must be a squarefree integer other than 0 and 1, got 1", 4),
+    # the opening parenthesis one past MAX_NESTING
+    pytest.param("(" * (MAX_NESTING + 1) + "4" + ")" * (MAX_NESTING + 1),
+                 f"parentheses nest deeper than {MAX_NESTING}", MAX_NESTING, id="too-deep"),
 ])
 def test_token_errors_pin_message_and_position(text, message, position):
     with pytest.raises(ParseError) as info:

@@ -21,6 +21,13 @@ def test_comparisons_accept_plain_numbers():
     assert Value(2) == 2
 
 
+def test_hash_agrees_with_equality():
+    assert hash(Value(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert len({Value(2), 2}) == 1
+    assert 1 in {Value(1)}
+    assert len({INFINITY, Value(1), Value(0)}) == 3
+
+
 def test_addition_absorbs_infinity():
     assert Value(2) + Value(Fraction(1, 2)) == Value(Fraction(5, 2))
     assert INFINITY + Value(-7) == INFINITY
