@@ -25,7 +25,8 @@ input (a norm, A + B·seed, a rescaled value) goes through ``formed``, which
 moves just those operands to Python ints where the result could reach it.
 
 Every constructor reads p-adic multiplicities through ``multiplicity``,
-which runs every array but int64 at p = 2 through one floor-residue loop.
+which runs every array but int64 at p = 2 through one floor-residue loop
+(``residue``).
 """
 
 from fractions import Fraction
@@ -166,13 +167,12 @@ def multiplicity(x, p: int):
     * an int64 array at p = 2 reads the exponent of the lowest set bit,
       x & −x, a power of two that float64 holds exactly.
     * every other array, int64 or dtype=object at any p, runs one loop over
-      (M, t) = ``_residue_table(p)``: the floor residue r = x − ⌊x/M⌋·M lies
-      in [0, M), v_p(M − s) = v_p(s) for 0 < s < M, so t[r] = min(v_p(x), k)
-      and a negative x reads as |x|.  Only entries with r = 0 go on, with
-      their quotient x/M; the zeros among them (quotient 0) are INF.  At
-      x = −2^63 the int64 product ⌊x/M⌋·M wraps, and r wraps back.  An int64
-      array at p > 2^63 − 1, where ⌊x/M⌋ would overflow, is INF at 0 and 0
-      elsewhere.
+      (M, t) = ``_residue_table(p)``: the floor residue r = ``residue(x, M)``
+      lies in [0, M), v_p(M − s) = v_p(s) for 0 < s < M, so t[r] =
+      min(v_p(x), k) and a negative x reads as |x|.  Only entries with r = 0
+      go on, with their quotient x/M; the zeros among them (quotient 0) are
+      INF.  An int64 array at p > 2^63 − 1, where ⌊x/M⌋ would overflow, is
+      INF at 0 and 0 elsewhere.
     """
     if not isinstance(x, np.ndarray):
         return int_valuation(p, x) if x else INF
@@ -185,25 +185,38 @@ def multiplicity(x, p: int):
     if not wide and p >= 2**63:  # no nonzero int64 entry is divisible
         return np.where(x == 0, INF, 0)
     m, t = _residue_table(p)
-    q = flat // m
-    r = flat - q * m
-    # a dtype=object residue passes int64 only past the span, where t has 2 entries
-    v = t.take(np.minimum(r, t.size - 1).astype(np.int64) if wide else r, mode="clip")
+
+    def digits(r):  # a dtype=object residue passes int64 only past the span, where t has 2 entries
+        return t.take(np.minimum(r, t.size - 1).astype(np.int64) if wide else r, mode="clip")
+
+    r = residue(flat, m)
+    v = digits(r)
     if wide:
         v = v.astype(object)
     at = (r == 0).nonzero()[0]
     if at.size:
-        cur = q.take(at)
+        cur = flat.take(at) // m
         zero = cur == 0  # x = 0; any other saturated x has |x| ≥ M
         v[at[zero]] = INF
         at, cur = at[~zero], cur[~zero]
         while at.size:
-            q = cur // m
-            r = cur - q * m
-            v[at] += t.take(np.minimum(r, t.size - 1).astype(np.int64) if wide else r, mode="clip")
+            r = residue(cur, m)
+            v[at] += digits(r)
             still = r == 0
-            at, cur = at[still], q[still]
+            at, cur = at[still], cur[still] // m
     return v.reshape(x.shape)
+
+
+def residue(x, m: int):
+    """The floor residue of x mod m ≥ 1, in [0, m), on ints or arrays.
+
+    One % per entry, except on int64, where x − ⌊x/m⌋·m costs about a
+    quarter of numpy's %; at x = −2^63 the product wraps, and the difference
+    wraps back.
+    """
+    if isinstance(x, np.ndarray) and x.dtype != object:
+        return x - x // m * m
+    return x % m
 
 
 def minimum(x, y):

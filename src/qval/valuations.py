@@ -10,8 +10,8 @@ A rational prime p behaves in one of three ways in Q(√d):
   the p-content of x in an integral basis (``content_value``).
 * **split** — d is a nonzero residue (d ≡ 1 mod 8 when p = 2): there are
   two extensions w(A + B·√d) = v_p(A + B·s), one per p-adic root s of d,
-  exact in closed form from a seed of s and the norm (see ``_split_value``);
-  Hensel lifting (``hensel_sqrt``) is kept as a reference only.  The
+  read from s lifted once (``hensel_sqrt``) to the largest p^K ≤ 2^31, and
+  exact past it from a seed of s and the norm (see ``_split_value``).  The
   minimum of the two is the p-content again (``content_value``).
 
 Every extension restricts on Q to v_p itself; no rescaling is applied.
@@ -25,7 +25,7 @@ from .errors import DomainError
 from .primes import is_prime, require_prime, sqrt_mod_prime
 from .quadratic import validate_discriminant
 from .triples import (QuasiValuation, clamp_inf, field_triple, formed, minimum, multiplicity,
-                      norm_form, patch)
+                      norm_form, patch, residue)
 from .values import Value
 
 def v_p(p: int, x) -> Value:
@@ -103,6 +103,24 @@ def hensel_sqrt(p: int, d: int, k: int, branch: int = 1) -> int:
         prec = min(2 * prec, k)
         t = t * (3 - d * t * t) * inv2 % p**prec
     return d * t % p**k
+
+
+# a split branch reads its root mod p^K for the largest p^K within this span,
+# so that (B mod p^K)·s < 2^62 and the sum with an int64 A stays within int64
+_ROOT_SPAN = 1 << 31
+
+
+@lru_cache(maxsize=1024)
+def _split_root(p: int, d: int, branch: int) -> tuple[int, int, int]:
+    """(K, M, s): M = p^K for the largest K with M ≤ _ROOT_SPAN, and s ≡ the
+    branch's p-adic root of d (mod M); K = 0, M = 1 and s = 0 for p past the span.
+
+    At p = 2 the lift takes one more digit, as ``split_value_at_precision`` does.
+    """
+    k, m = 0, 1
+    while m * p <= _ROOT_SPAN:
+        k, m = k + 1, m * p
+    return k, m, hensel_sqrt(p, d, k + int(p == 2), branch) % m if k else 0
 
 
 @dataclass(frozen=True)
@@ -191,18 +209,32 @@ class ExtendedValuation(QuasiValuation):
     def _split_value(self, a, b, q):
         """v_p(A + B·s) − v_p(Q), exactly, for the branch's p-adic root s of d.
 
+        With (K, M, s_K) = ``_split_root``, t = A + (B mod M)·s_K ≡ A + B·s
+        (mod p^K), so v_p(t) is the value wherever it is below K.  B mod M is
+        the floor residue, so 0 ≤ (B mod M)·s_K < 2^62 and t fits int64.  The
+        entries with v_p(t) ≥ K, every one at p past 2^31 where K = 0, take
+        ``_seeded_value``.
+        """
+        k, m, s = _split_root(self.p, self.d, self.branch)
+        zero = (a == 0) & (b == 0)
+        v = multiplicity(a + residue(b, m) * s, self.p)
+        v = patch(v, (v >= k) ^ zero, self._seeded_value, a, b)  # x = 0 has t = 0, so v = INF ≥ K
+        return clamp_inf(v - multiplicity(q, self.p), zero)
+
+    def _seeded_value(self, a, b):
+        """v_p(A + B·s) for (A, B) ≠ (0, 0), from the branch's seed and the norm.
+
         The seed agrees with s to 1 + e digits (e = 1 at p = 2, else 0), so
         v_p(A + B·seed) = v_p(A + B·s) where it is below v_p(B) + 1 + e.
         Elsewhere A + B·s outruns 2B·s, so v_p(A − B·s) = v_p(B) + e and the
         norm gives v_p(A + B·s) = v_p(A² − d·B²) − v_p(B) − e.
         """
-        p, e = self.p, int(self.p == 2)
-        seed = _split_seeds(p, self.d)[self.branch - 1]
+        p, d, e = self.p, self.d, int(self.p == 2)
+        seed = _split_seeds(p, d)[self.branch - 1]
         vt = multiplicity(formed(lambda a, b: a + b * seed, a, b), p)
         vb = multiplicity(b, p)
-        v = patch(vt, vt > vb + e,
-                  lambda a, b, vb: multiplicity(norm_form(a, b, self.d), p) - vb - e, a, b, vb)
-        return clamp_inf(v - multiplicity(q, p), (a == 0) & (b == 0))
+        return patch(vt, vt > vb + e,
+                     lambda a, b, vb: multiplicity(norm_form(a, b, d), p) - vb - e, a, b, vb)
 
     def split_value_at_precision(self, x, k: int):
         """Evaluate at fixed Hensel precision k, with the stability certificate.

@@ -639,3 +639,95 @@ def test_ramified_closed_form_equals_the_norm_past_int64(case):
     for dtype in (np.int64, object) if top < INT64_LIMIT else (object,):
         got = w.triple_value(*(np.array(c, dtype=dtype) for c in zip(*triples)))
         assert got.dtype == dtype and got.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# A split branch reads t = A + (B mod p^K)·s_K, its root lifted to the largest
+# p^K ≤ 2^31, and only entries with t ≡ 0 mod p^K take the seed and the norm.
+# The entries below straddle that boundary: A + B·s lies exactly K − 2 … K + 2
+# and 70 digits deep, with negative B, and with A or B at the int64 edges.
+
+ROOT_DIGITS = {(2, -7): 31, (5, -1): 13, (7, 2): 11, (11, 5): 8}
+EDGE = INT64_LIMIT - 1
+
+
+def _short_pair(p, s, j):
+    """A short (A, B) with A + B·s ≡ 0 (mod p^j): Gauss reduction of the lattice
+    spanned by (p^j, 0) and (−s mod p^j, 1)."""
+    u, v = (p**j, 0), (-s % p**j, 1)
+    norm = lambda w: w[0] * w[0] + w[1] * w[1]
+    while True:
+        if norm(u) < norm(v):
+            u, v = v, u
+        m = round(Fraction(u[0] * v[0] + u[1] * v[1], norm(v)))
+        if m == 0:
+            return v
+        u = (u[0] - m * v[0], u[1] - m * v[1])
+
+
+def _boundary_triples(p, d, branch, k):
+    s = hensel_sqrt(p, d, 90, branch)
+    triples = [(EDGE, EDGE, 1), (-EDGE, EDGE, p), (EDGE, -EDGE, 3), (0, 0, 1), (0, -EDGE, 1)]
+    for j in (k - 2, k - 1, k, k + 1, k + 2, 70):
+        for i, b in enumerate((1, -1, 3, -p, -2 * p * p - 1, EDGE, -EDGE)):
+            q = (1, p, 3 * p * p)[i % 3]
+            exact = -b * s % p ** (j + 6)  # A + B·s ≡ 0 mod p^(j + 6)
+            triples += [(exact + p**j, b, q), (exact - 2 * p**j, b, q), (exact, b, q),
+                        (EDGE - (EDGE + b * s) % p**j, b, q), ((EDGE - b * s) % p**j - EDGE, b, q)]
+        a, b = _short_pair(p, s, j)
+        triples += [(a, b, 1), (-a, -b, p)]
+    return triples
+
+
+@pytest.mark.parametrize("p, d", sorted(ROOT_DIGITS))
+def test_split_values_across_the_root_precision_match_the_hensel_reference(p, d):
+    k = ROOT_DIGITS[(p, d)]
+    for branch in (1, 2):
+        assert valuations._split_root(p, d, branch)[:2] == (k, p**k)
+        u = ExtendedValuation(p, d, SplitKind.SPLIT, branch)
+        triples = _boundary_triples(p, d, branch, k)
+        expected = [_hensel_value(u, *t) for t in triples]
+        assert {k - 2, k - 1, k, k + 1, k + 2, 70} <= set(expected) and INF in expected
+        assert [u.triple_value(*t) for t in triples] == expected
+        narrow = [i for i, t in enumerate(triples) if max(map(abs, t)) < INT64_LIMIT]
+        assert {k - 2, k - 1, k, k + 1, k + 2} <= {expected[i] for i in narrow}
+        assert any(70 <= expected[i] < INF for i in narrow) == (p == 2)  # 2^70 has a short pair
+        for dtype, at in ((np.int64, narrow), (object, range(len(triples)))):
+            a, b, q = (np.array(c, dtype=dtype) for c in zip(*(triples[i] for i in at)))
+            got = u.triple_value(a, b, q)
+            assert got.dtype == dtype and got.tolist() == [expected[i] for i in at], dtype
+
+
+@pytest.mark.parametrize("p", (2147483713, 4294967311))
+def test_split_value_at_a_prime_past_the_root_span(p):
+    # A near ±2^62 and B near p, with A + B·s ≡ 0 mod p or p²: an int64
+    # A + B·s would wrap past 2^63 and read v_p = 0, and so would
+    # A + (B mod p)·s at the second p, whose square passes 2^63
+    d = 2
+    assert p > 2**31 and classify(p, d) is SplitKind.SPLIT
+    for branch in (1, 2):
+        u = ExtendedValuation(p, d, SplitKind.SPLIT, branch)
+        s = hensel_sqrt(p, d, 4, branch)
+        triples = [(EDGE, p - 1, 1), (-EDGE, 1 - p, p)]
+        for j in (1, 2):
+            for b in (p - 1, p + 1, 2 * p - 1, -(2 * p - 1), 3 * p + 7, p):
+                triples += [(EDGE - (EDGE + b * s) % p**j, b, 1),
+                            ((EDGE - b * s) % p**j - EDGE, b, p)]
+        expected = [_hensel_value(u, *t) for t in triples]
+        assert max(expected) >= 2 and [u.triple_value(*t) for t in triples] == expected
+        narrow = [i for i, t in enumerate(triples) if max(map(abs, t)) < INT64_LIMIT]
+        assert sum(expected[i] > 0 for i in narrow) >= 10
+        for dtype, at in ((np.int64, narrow), (object, range(len(triples)))):
+            a, b, q = (np.array(c, dtype=dtype) for c in zip(*(triples[i] for i in at)))
+            got = u.triple_value(a, b, q)
+            assert got.dtype == dtype and got.tolist() == [expected[i] for i in at], dtype
+
+
+def test_split_root_cache_is_bounded():
+    bound = valuations._split_root.cache_info().maxsize
+    assert bound is not None
+    fields = (d for d in range(2, 10**5) if is_squarefree(d))
+    for d in [d for d in fields if classify(7, d) is SplitKind.SPLIT][:bound + 10]:
+        u = extensions_of(7, d)[1]
+        assert u.value(QuadElem(1, 1, d)) == Value(_hensel_value(u, 1, 1, 1))
+    assert valuations._split_root.cache_info().currsize <= bound
